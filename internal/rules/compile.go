@@ -16,9 +16,8 @@ import (
 // nothing), so callers can hold "rules disabled" as nil without branching.
 type Set struct {
 	// Gen is the generation stamp the Holder assigns when the set takes
-	// traffic. The scan cache stores the producing generation with every
-	// entry, so verdicts computed under an older rule set are never
-	// served after a reload (anti-aliasing, like the deob flag).
+	// traffic. It is part of the scan verdict-cache key, so verdicts
+	// computed under an older rule set are never served after a reload.
 	Gen uint64
 
 	files    int

@@ -1,6 +1,6 @@
 // The engine's side of the verdict audit trail: provenance is collected
-// where the verdict is decided (scanSource knows the cache outcome and
-// which tier answered; the context carries the request metadata and trace)
+// where the verdict is decided (front knows the cache outcome, the Result
+// names the tier; the context carries the request metadata and trace)
 // and written as one audit.Record per result, plus one webhook alert for
 // alert-worthy rule verdicts. Everything here is gated on Config.Audit and
 // Config.Alert — with both nil it costs nothing on the hot path.
@@ -17,32 +17,17 @@ import (
 	"jsrevealer/internal/rules"
 )
 
-// provenance is the audit-relevant context of one verdict, threaded out of
-// scanSource alongside the Result. The zero value (auditing disabled)
-// carries nothing — except rset, which is pinned for every scan so one
-// file never mixes rule generations across a hot reload.
+// provenance is the audit-relevant context of one verdict that the Result
+// itself does not carry, threaded out of phase 1 alongside it. The zero
+// value (auditing disabled) carries nothing — except rset, which is pinned
+// for every scan so one file never mixes rule generations across a hot
+// reload.
 type provenance struct {
-	sha        string            // hex content digest
-	cache      string            // hit | miss | off
-	tier       string            // triage | rules | cache | pipeline | fallback | none
-	cacheTier  string            // on a hit: the tier that produced the cached entry
-	deobPasses []string          // deobfuscation passes that rewrote the script
-	stages     *obs.StageTimings // per-stage durations, nil unless auditing
-	rset       *rules.Set        // rule set pinned for this scan; nil = rules off
-}
-
-// tierFor derives the audit tier from how the verdict was produced.
-func tierFor(v Verdict, fromCache bool) string {
-	switch {
-	case fromCache:
-		return TierCache
-	case v == VerdictDegraded:
-		return TierFallback
-	case v == VerdictFailed:
-		return TierNone
-	default:
-		return TierPipeline
-	}
+	sha       string            // hex content digest
+	cache     string            // hit | miss | off
+	cacheTier string            // on a hit: the tier that produced the cached entry
+	stages    *obs.StageTimings // per-stage durations, nil unless auditing
+	rset      *rules.Set        // rule set pinned for this scan; nil = rules off
 }
 
 // recordResult reports one finished result to the configured sinks: an
@@ -69,7 +54,7 @@ func (e *Engine) recordResult(ctx context.Context, res Result, prov provenance) 
 			Malicious:  res.Malicious,
 			Bytes:      res.Bytes,
 			DurationMS: float64(res.Duration) / float64(time.Millisecond),
-			Tier:       prov.tier,
+			Tier:       res.Tier,
 			Cache:      prov.cache,
 			CacheTier:  prov.cacheTier,
 			Model:      e.cfg.AuditModel,
@@ -77,7 +62,7 @@ func (e *Engine) recordResult(ctx context.Context, res Result, prov provenance) 
 			Job:        m.Job,
 			Attempt:    m.Attempt,
 			RequestID:  m.RequestID,
-			DeobPasses: prov.deobPasses,
+			DeobPasses: res.DeobPasses,
 			RuleHits:   res.RuleHits,
 			TraceID:    traceID,
 		}
@@ -108,7 +93,7 @@ func (e *Engine) recordResult(ctx context.Context, res Result, prov provenance) 
 	}
 }
 
-// hexKey renders a cache key as the audit trail's content digest.
-func hexKey(k cacheKey) string {
+// hexKey renders a content digest as the audit trail's sha256.
+func hexKey(k digest) string {
 	return hex.EncodeToString(k[:])
 }

@@ -3,9 +3,9 @@
 // is deterministic for a given engine, so a scan of content the engine has
 // already classified can skip parse, extraction, and embedding entirely.
 // The cache is a serving-layer optimisation — it changes cost, never
-// verdicts — and only clean full-pipeline outcomes (benign/malicious) are
-// stored: degraded and failed results depend on transient conditions
-// (deadlines, resource pressure) and must be recomputed.
+// verdicts — and only clean outcomes (benign/malicious) are stored: degraded
+// and failed results depend on transient conditions (deadlines, resource
+// pressure) and must be recomputed.
 package scan
 
 import (
@@ -16,45 +16,46 @@ import (
 )
 
 // DefaultCacheSize bounds the verdict cache when Config.CacheSize is 0.
-// An entry is a 32-byte digest, two words of verdict, and list/map
+// An entry is a ~48-byte key, two words of verdict, and list/map
 // bookkeeping (~150 bytes), so the default costs well under a megabyte.
 const DefaultCacheSize = 4096
 
-// Entries are keyed by cacheKey, the SHA-256 digest of the content (see
-// hash.go). A cryptographic digest matters here: a constructible collision
-// would let an attacker alias a malicious script to a cached benign
-// verdict, so the key's collision resistance is a security property of the
-// detector, not a statistical nicety.
+// cacheKey is everything a cached verdict depends on that can vary between
+// scans of one engine: the content digest (see hash.go), whether the
+// classifier saw deobfuscation-normalized source (a per-request switch, and
+// the two pipelines may legitimately disagree about the same bytes), and the
+// rule-set generation (a hot reload could flip any verdict). An entry from a
+// stale generation simply misses and ages out of the LRU. The model and the
+// triage threshold stay out of the key: both are fixed when the Engine that
+// owns the cache is built.
+type cacheKey struct {
+	sum      digest
+	deob     bool
+	rulesGen uint64
+}
 
 // cacheEntry is one cached clean verdict. tier records which tier produced
-// it (TierTriage, TierPipeline, or TierRules): a triage-tier entry is a
-// weaker claim than a full-pipeline one, and the engine refuses to serve it
-// when its own triage is disabled — a cached triage clear must never alias a
-// full verdict (see Engine.scanSourceFront). deob records whether the
-// pipeline classified deobfuscation-normalized source; a pipeline entry is
-// only served to scans running under the same setting, since the two
-// pipelines can legitimately disagree about the same bytes. rulesGen is the
-// rule-set generation the verdict was computed under (0 with rules
-// disabled): after a rule reload every entry from the previous generation
-// goes stale, because the new set could flip any verdict — including cached
-// triage clears, which the pre-triage deny stage would otherwise never
-// re-examine. ruleHits replays rule provenance on a hit, so a cache-served
+// it (TierTriage, TierPipeline, or TierRules) for the audit trail's
+// cache_tier; ruleHits replays rule provenance on a hit, so a cache-served
 // verdict explains itself exactly like the scan that produced it.
 type cacheEntry struct {
-	key       cacheKey
 	verdict   Verdict
 	malicious bool
 	tier      string
-	deob      bool
-	rulesGen  uint64
 	ruleHits  []rules.Hit
+}
+
+// cacheItem is one LRU element: the entry plus its key, for eviction.
+type cacheItem struct {
+	key cacheKey
+	ent cacheEntry
 }
 
 // verdictCache is a bounded, concurrency-safe LRU of clean verdicts.
 type verdictCache struct {
 	mu  sync.Mutex
 	cap int
-	ll  *list.List // front = most recently used; values are *cacheEntry
+	ll  *list.List // front = most recently used; values are *cacheItem
 	m   map[cacheKey]*list.Element
 }
 
@@ -66,7 +67,7 @@ func newVerdictCache(capacity int) *verdictCache {
 	}
 }
 
-// get returns a copy of the cached entry for key, refreshing its recency.
+// get returns the cached entry for key, refreshing its recency.
 func (c *verdictCache) get(key cacheKey) (cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -75,33 +76,26 @@ func (c *verdictCache) get(key cacheKey) (cacheEntry, bool) {
 		return cacheEntry{}, false
 	}
 	c.ll.MoveToFront(el)
-	return *el.Value.(*cacheEntry), true
+	return el.Value.(*cacheItem).ent, true
 }
 
 // put stores a clean verdict, evicting the least recently used entry when
 // full. Concurrent scans of identical content may race to put the same key;
 // the second write wins, which is harmless because both computed the same
 // deterministic verdict.
-func (c *verdictCache) put(key cacheKey, verdict Verdict, malicious bool, tier string, deob bool, rulesGen uint64, hits []rules.Hit) {
+func (c *verdictCache) put(key cacheKey, ent cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		// A full-pipeline or rules verdict never downgrades to a triage
-		// one: the stronger claim stays — unless the stronger entry is from
-		// a stale rule generation, in which case the fresh claim wins.
-		if !(ent.tier != TierTriage && tier == TierTriage && ent.rulesGen == rulesGen) {
-			ent.verdict, ent.malicious, ent.tier, ent.deob = verdict, malicious, tier, deob
-			ent.rulesGen, ent.ruleHits = rulesGen, hits
-		}
+		el.Value.(*cacheItem).ent = ent
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, verdict: verdict, malicious: malicious, tier: tier, deob: deob, rulesGen: rulesGen, ruleHits: hits})
+	c.m[key] = c.ll.PushFront(&cacheItem{key: key, ent: ent})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
-		delete(c.m, last.Value.(*cacheEntry).key)
+		delete(c.m, last.Value.(*cacheItem).key)
 	}
 }
 

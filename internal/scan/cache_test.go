@@ -2,9 +2,11 @@ package scan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,18 +18,18 @@ import (
 func TestVerdictCacheLRU(t *testing.T) {
 	c := newVerdictCache(2)
 	k := func(i int) cacheKey {
-		var key cacheKey
-		key[0], key[1] = byte(i), byte(i>>8)
-		return key
+		return cacheKey{sum: digest{byte(i), byte(i >> 8)}}
 	}
+	benign := cacheEntry{verdict: VerdictBenign, tier: TierPipeline}
+	malicious := cacheEntry{verdict: VerdictMalicious, malicious: true, tier: TierPipeline}
 
-	c.put(k(1), VerdictBenign, false, TierPipeline, false, 0, nil)
-	c.put(k(2), VerdictMalicious, true, TierPipeline, false, 0, nil)
+	c.put(k(1), benign)
+	c.put(k(2), malicious)
 	if _, ok := c.get(k(1)); !ok {
 		t.Fatal("k1 missing before capacity exceeded")
 	}
 	// k1 was just refreshed, so inserting k3 must evict k2.
-	c.put(k(3), VerdictBenign, false, TierPipeline, false, 0, nil)
+	c.put(k(3), benign)
 	if _, ok := c.get(k(2)); ok {
 		t.Fatal("k2 survived eviction despite being least recently used")
 	}
@@ -38,13 +40,23 @@ func TestVerdictCacheLRU(t *testing.T) {
 		t.Fatalf("k3 = (%v, %v, %v), want (benign, false, true)", ent.verdict, ent.malicious, ok)
 	}
 	// Duplicate put updates in place without growing.
-	c.put(k(3), VerdictMalicious, true, TierPipeline, true, 0, nil)
-	if ent, ok := c.get(k(3)); !ok || ent.verdict != VerdictMalicious || !ent.malicious || !ent.deob {
-		t.Fatalf("k3 after update = (%v, %v, %v, deob=%v), want (malicious, true, true, true)",
-			ent.verdict, ent.malicious, ok, ent.deob)
+	c.put(k(3), malicious)
+	if ent, ok := c.get(k(3)); !ok || ent.verdict != VerdictMalicious || !ent.malicious {
+		t.Fatalf("k3 after update = (%v, %v, %v), want (malicious, true, true)",
+			ent.verdict, ent.malicious, ok)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+	// The deob mode and the rule generation are part of the key: the same
+	// bytes under either other setting miss.
+	for _, other := range []cacheKey{
+		{sum: k(3).sum, deob: true},
+		{sum: k(3).sum, rulesGen: 1},
+	} {
+		if _, ok := c.get(other); ok {
+			t.Errorf("get(%+v) hit the entry stored under %+v", other, k(3))
+		}
 	}
 }
 
@@ -179,5 +191,36 @@ func TestScanManyIdenticalFiles(t *testing.T) {
 	}
 	if got := reg.Counter(CacheHitsMetric, "", nil).Value(); got != hits+n {
 		t.Errorf("second-pass hits = %d, want %d (all %d files)", got-hits, n, n)
+	}
+}
+
+// TestFollowerOfDegradedLeader: byte-identical content in one run is
+// deduplicated to one leader, but a degraded leader leaves nothing in the
+// cache for its followers. Each follower must then take the pipeline
+// itself and degrade on its own; none may be dropped or served a verdict.
+func TestFollowerOfDegradedLeader(t *testing.T) {
+	reg := obs.NewRegistry()
+	ctx := obs.WithRegistry(context.Background(), reg)
+	eng := New(batchBroken{}, Config{Workers: 2})
+
+	src := "var a = 1;"
+	srcs := []Source{{Name: "a.js", Content: src}, {Name: "b.js", Content: src}, {Name: "c.js", Content: src}}
+	var mu sync.Mutex
+	got := map[string]Result{}
+	stats := eng.ScanSources(ctx, srcs, func(r Result) {
+		mu.Lock()
+		got[r.Path] = r
+		mu.Unlock()
+	})
+	if stats.Degraded != len(srcs) || len(got) != len(srcs) {
+		t.Fatalf("stats = %+v, results = %d, want every source degraded", stats, len(got))
+	}
+	for _, s := range srcs {
+		if r := got[s.Name]; r.Verdict != VerdictDegraded || !errors.Is(r.Err, ErrInternal) {
+			t.Errorf("%s: verdict %v err %v, want DEGRADED/ErrInternal", s.Name, r.Verdict, r.Err)
+		}
+	}
+	if hits := reg.Counter(CacheHitsMetric, "", nil).Value(); hits != 0 {
+		t.Errorf("cache hits = %d, want 0", hits)
 	}
 }

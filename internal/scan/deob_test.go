@@ -252,10 +252,10 @@ func TestDeobProvenance(t *testing.T) {
 	}
 }
 
-// TestDeobCacheNotAliased pins the cache anti-aliasing rule: a pipeline
-// verdict computed over normalized source must not answer a scan that
-// wants the raw pipeline, and vice versa — the two configurations are
-// different pipelines that may legitimately disagree.
+// TestDeobCacheNotAliased pins the deob mode as part of the cache key: a
+// pipeline verdict computed over normalized source must not answer a scan
+// that wants the raw pipeline, and vice versa — the two configurations are
+// different pipelines that may legitimately disagree. Both entries coexist.
 func TestDeobCacheNotAliased(t *testing.T) {
 	det, samples := trainedDetector(t)
 	reg := obs.NewRegistry()
@@ -268,7 +268,7 @@ func TestDeobCacheNotAliased(t *testing.T) {
 		t.Fatal(first.Err)
 	}
 	// Same engine, per-request deob off: the cached deob-on verdict must
-	// not be served; the raw pipeline runs and overwrites the entry.
+	// not be served; the raw pipeline runs and adds its own entry.
 	second := eng.ScanSource(WithDeobfuscate(ctx, false), "b.js", src)
 	if second.Tier == TierCache {
 		t.Fatal("deob-on cache entry served to a deob-off scan")
@@ -276,16 +276,24 @@ func TestDeobCacheNotAliased(t *testing.T) {
 	if second.Tier != TierPipeline {
 		t.Fatalf("tier = %q, want pipeline", second.Tier)
 	}
-	// And back: the entry now answers for deob-off, so a deob-on scan
-	// recomputes again.
+	// And back: the deob-on entry is still there, so a deob-on scan is
+	// answered with the first scan's verdict.
 	third := eng.ScanSource(ctx, "c.js", src)
-	if third.Tier == TierCache {
-		t.Fatal("deob-off cache entry served to a deob-on scan")
+	if third.Tier != TierCache {
+		t.Fatalf("tier = %q on deob-on rescan, want cache", third.Tier)
 	}
-	// Matching setting hits.
-	fourth := eng.ScanSource(ctx, "d.js", src)
+	if third.Verdict != first.Verdict || third.Malicious != first.Malicious {
+		t.Fatalf("deob-on rescan = (%v, %v), want the deob-on scan's (%v, %v)",
+			third.Verdict, third.Malicious, first.Verdict, first.Malicious)
+	}
+	// And the deob-off entry answers deob-off scans.
+	fourth := eng.ScanSource(WithDeobfuscate(ctx, false), "d.js", src)
 	if fourth.Tier != TierCache {
-		t.Fatalf("tier = %q on matching-setting rescan, want cache", fourth.Tier)
+		t.Fatalf("tier = %q on deob-off rescan, want cache", fourth.Tier)
+	}
+	if fourth.Verdict != second.Verdict || fourth.Malicious != second.Malicious {
+		t.Fatalf("deob-off rescan = (%v, %v), want the deob-off scan's (%v, %v)",
+			fourth.Verdict, fourth.Malicious, second.Verdict, second.Malicious)
 	}
 }
 

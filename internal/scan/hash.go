@@ -14,14 +14,15 @@ import (
 	"unsafe"
 )
 
-// cacheKey is the SHA-256 digest of the script source.
-type cacheKey [sha256.Size]byte
+// digest is the SHA-256 digest of a script source: the content part of the
+// cache key and the audit trail's sha256.
+type digest [sha256.Size]byte
 
 // contentKey digests s without copying it: Sum256 neither mutates nor
 // retains its argument, so aliasing the string's backing bytes is safe and
 // keeps the cache lookup allocation-free. StringData is unspecified for
 // empty strings, hence the guard.
-func contentKey(s string) cacheKey {
+func contentKey(s string) digest {
 	if len(s) == 0 {
 		return sha256.Sum256(nil)
 	}

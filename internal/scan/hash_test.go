@@ -18,7 +18,7 @@ func TestContentKeyMatchesSHA256(t *testing.T) {
 		strings.Repeat("function a(){return 1;}\n", 64),
 		"var x = \x00\xff\xfe binary-ish ☃",
 	} {
-		want := cacheKey(sha256.Sum256([]byte(in)))
+		want := digest(sha256.Sum256([]byte(in)))
 		if got := contentKey(in); got != want {
 			t.Errorf("contentKey(%q) = %x, want %x", in, got, want)
 		}
@@ -32,7 +32,7 @@ func TestContentKeySubstringAliasing(t *testing.T) {
 	base := strings.Repeat("var x = document.createElement('script');\n", 16)
 	for _, end := range []int{1, 7, len(base) / 2, len(base)} {
 		sub := base[:end]
-		want := cacheKey(sha256.Sum256([]byte(sub)))
+		want := digest(sha256.Sum256([]byte(sub)))
 		if got := contentKey(sub); got != want {
 			t.Errorf("contentKey(base[:%d]) = %x, want %x", end, got, want)
 		}
@@ -61,7 +61,7 @@ func BenchmarkContentHash(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if contentKey(src) == (cacheKey{}) {
+		if contentKey(src) == (digest{}) {
 			b.Fatal("zero digest")
 		}
 	}

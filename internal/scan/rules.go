@@ -1,7 +1,7 @@
 // The engine's side of the declarative rules layer (internal/rules). Rules
-// run in two stages: a cheap deny-only text pass before triage
-// (scanSourceFront), and the full pass — lists, signatures, path predicates
-// — after deobfuscation, just before the model (scanSource/prepareSource).
+// run in two stages: a cheap deny-only text pass before triage (front), and
+// the full pass — lists, signatures, path predicates — after
+// deobfuscation, just before the model (prepareSource).
 // Everything here is nil-safe on a disabled rules layer: with Config.Rules
 // unset the engine's verdicts are bit-identical to a rules-free build.
 package scan
@@ -48,26 +48,4 @@ func (e *Engine) evalRules(ctx context.Context, set *rules.Set, name, raw, norma
 		}
 	}
 	return set.Eval(ctx, in)
-}
-
-// finishRules finalizes a rules-layer short-circuit from the pipeline stage
-// (forcing hit → malicious, allow hit → benign): the counterpart of
-// finishScan for verdicts the model never saw. res.RuleHits is already set
-// by the caller and is cached with the verdict so repeat content keeps its
-// provenance.
-func (e *Engine) finishRules(ctx context.Context, res Result, prov provenance, key cacheKey, malicious bool) (Result, provenance) {
-	res.Malicious = malicious
-	if malicious {
-		res.Verdict = VerdictMalicious
-	} else {
-		res.Verdict = VerdictBenign
-	}
-	res.Tier = TierRules
-	if e.cache != nil {
-		e.cache.put(key, res.Verdict, res.Malicious, TierRules, e.deobOn(ctx), prov.rset.Generation(), res.RuleHits)
-	}
-	if e.cfg.Audit != nil {
-		prov.tier = TierRules
-	}
-	return res, prov
 }

@@ -27,10 +27,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"jsrevealer/internal/alert"
@@ -49,13 +47,6 @@ import (
 // panics, so a misbehaving classifier degrades a file, never the scan.
 type Classifier interface {
 	DetectCtx(ctx context.Context, src string) (bool, error)
-}
-
-// LimitedClassifier is optionally implemented by classifiers that accept
-// explicit parser resource limits (core.Detector does); the engine then
-// threads its MaxDepth/MaxTokens guards through the parse.
-type LimitedClassifier interface {
-	DetectWithLimits(ctx context.Context, src string, lim parser.Limits) (bool, error)
 }
 
 // ClassifierFunc adapts a function to the Classifier interface.
@@ -222,10 +213,9 @@ type Result struct {
 	Err error
 	// Bytes is the input size.
 	Bytes int64
-	// Duration is the wall time spent on the file, fallback included. In a
-	// batched scan this is the file's own share — its load/triage/prepare
-	// time plus the shared batch classification — not the time it spent
-	// waiting at the batch barrier.
+	// Duration is the wall time spent on the file, fallback included: its
+	// own load/triage/prepare time plus the shared batch classification,
+	// not the time it spent waiting at the batch barrier.
 	Duration time.Duration
 	// Tier names what produced the verdict: TierTriage, TierPipeline,
 	// TierCache, TierFallback, or TierNone (see tier.go).
@@ -281,17 +271,22 @@ type Stats struct {
 // Engine scans files concurrently with panic isolation, deadlines, input
 // guards, and graceful degradation. It is safe for concurrent use.
 type Engine struct {
-	c      Classifier
+	bc     BatchClassifier // the classifier, or detectAdapter around it
 	cfg    Config
 	cache  *verdictCache         // nil when caching is disabled
 	triage *triage.Scorer        // nil when the triage tier is disabled
 	deob   *deobfuscate.Pipeline // always built; use is gated per scan (deobOn)
 }
 
-// New builds an engine around a classifier. cfg zero-values select the
-// hardened defaults.
+// New builds an engine around a classifier; one that does not implement
+// BatchClassifier is driven through detectAdapter. cfg zero-values select
+// the hardened defaults.
 func New(c Classifier, cfg Config) *Engine {
-	e := &Engine{c: c, cfg: cfg.withDefaults()}
+	bc, ok := c.(BatchClassifier)
+	if !ok {
+		bc = detectAdapter{c}
+	}
+	e := &Engine{bc: bc, cfg: cfg.withDefaults()}
 	if e.cfg.CacheSize > 0 {
 		e.cache = newVerdictCache(e.cfg.CacheSize)
 	}
@@ -353,52 +348,11 @@ func (e *Engine) ScanDir(ctx context.Context, dir string) ([]Result, Stats, erro
 // latency, queue wait, verdict, and error-taxonomy metrics are recorded
 // into the registry carried by ctx (obs.Default() otherwise).
 func (e *Engine) ScanFiles(ctx context.Context, paths []string) ([]Result, Stats) {
-	if bc, ok := e.c.(BatchClassifier); ok {
-		return e.scanFilesBatched(ctx, bc, paths)
+	items := make([]Source, len(paths))
+	for i, p := range paths {
+		items[i].Name = p
 	}
-	start := time.Now()
-	ins := newInstruments(obs.FromContext(ctx))
-	results := make([]Result, len(paths))
-	workers := e.cfg.Workers
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(paths) || ctx.Err() != nil {
-					return
-				}
-				// Queue wait: how long the file sat before any worker
-				// reached it — the engine's backpressure signal.
-				ins.wait.ObserveDuration(time.Since(start))
-				ins.inflight.Inc()
-				res := e.scanFile(ctx, ins, paths[i])
-				ins.inflight.Dec()
-				ins.observe(res)
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	// Files skipped by an engine-wide cancellation still get a result.
-	for i := range results {
-		if results[i].Path == "" {
-			results[i] = Result{
-				Path:    paths[i],
-				Verdict: VerdictFailed,
-				Tier:    TierNone,
-				Err:     fmt.Errorf("%w: scan cancelled: %v", ErrTimeout, ctx.Err()),
-			}
-			ins.observe(results[i])
-		}
-	}
-	return results, summarize(results, time.Since(start))
+	return e.run(ctx, items, e.loadFile, nil)
 }
 
 // Source is one named in-memory script for ScanSources.
@@ -418,208 +372,91 @@ type Source struct {
 // the whole batch. Aggregate statistics are returned once every source is
 // done; per-file metrics land in the registry carried by ctx.
 func (e *Engine) ScanSources(ctx context.Context, srcs []Source, emit func(Result)) Stats {
-	if bc, ok := e.c.(BatchClassifier); ok {
-		return e.scanSourcesBatched(ctx, bc, srcs, emit)
-	}
-	start := time.Now()
-	ins := newInstruments(obs.FromContext(ctx))
-	results := make([]Result, len(srcs))
-	done := make([]bool, len(srcs))
-	workers := e.cfg.Workers
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(srcs) || ctx.Err() != nil {
-					return
-				}
-				ins.wait.ObserveDuration(time.Since(start))
-				fstart := time.Now()
-				sctx, sp := obs.StartSpan(ctx, "scan.file")
-				ins.inflight.Inc()
-				res, prov := e.scanSource(sctx, ins, srcs[i].Name, srcs[i].Content)
-				ins.inflight.Dec()
-				sp.End()
-				res.Duration = time.Since(fstart)
-				ins.observe(res)
-				e.recordResult(sctx, res, prov)
-				results[i] = res
-				done[i] = true
-				if emit != nil {
-					emit(res)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Sources skipped by an engine-wide cancellation still get a result.
-	for i := range results {
-		if !done[i] {
-			results[i] = Result{
-				Path:    srcs[i].Name,
-				Verdict: VerdictFailed,
-				Tier:    TierNone,
-				Err:     fmt.Errorf("%w: scan cancelled: %v", ErrTimeout, ctx.Err()),
-			}
-			ins.observe(results[i])
-			if emit != nil {
-				emit(results[i])
-			}
-		}
-	}
-	return summarize(results, time.Since(start))
+	_, stats := e.run(ctx, srcs, loadMemory, emit)
+	return stats
 }
 
 // ScanSource scans one in-memory script under the engine's guards,
 // recording the same per-file metrics as ScanFiles.
 func (e *Engine) ScanSource(ctx context.Context, name, src string) Result {
-	start := time.Now()
-	ins := newInstruments(obs.FromContext(ctx))
-	sctx, sp := obs.StartSpan(ctx, "scan.file")
-	ins.inflight.Inc()
-	res, prov := e.scanSource(sctx, ins, name, src)
-	ins.inflight.Dec()
-	sp.End()
-	res.Duration = time.Since(start)
-	ins.observe(res)
-	e.recordResult(sctx, res, prov)
-	return res
+	results, _ := e.run(ctx, []Source{{Name: name, Content: src}}, loadMemory, nil)
+	return results[0]
 }
 
-// scanFile loads one file and scans it; oversized files skip straight to
-// degradation on a bounded prefix without ever being fully read. The whole
-// file is covered by a "scan.file" span, under which the classifier's own
-// spans nest.
-func (e *Engine) scanFile(ctx context.Context, ins *instruments, path string) Result {
-	start := time.Now()
-	ctx, sp := obs.StartSpan(ctx, "scan.file")
-	defer sp.End()
-	res, prov, src, finished := e.loadFile(ctx, path)
-	if !finished {
-		res, prov = e.scanSource(ctx, ins, path, src)
-	}
-	res.Duration = time.Since(start)
-	e.recordResult(ctx, res, prov)
-	return res
+// loadMemory is the driver's loader for in-memory sources.
+func loadMemory(_ context.Context, it Source) (Result, provenance, string, bool) {
+	return Result{}, provenance{}, it.Content, false
 }
 
-// loadFile stats and reads path under the engine's size guard. A true
-// finished flag means the file never reaches the pipeline: stat/read
-// failure (Failed) or oversize (degraded on a MaxBytes prefix, never fully
-// read). Duration is left for the caller to stamp.
-func (e *Engine) loadFile(ctx context.Context, path string) (Result, provenance, string, bool) {
+// loadFile is the driver's loader for files: it stats and reads the path
+// it.Name under the engine's size guard. A true finished flag means the
+// file never reaches the pipeline: stat/read failure (Failed) or oversize
+// (degraded on a MaxBytes prefix, never fully read). Duration is left for
+// the caller to stamp.
+func (e *Engine) loadFile(ctx context.Context, it Source) (Result, provenance, string, bool) {
+	path := it.Name
 	res := Result{Path: path}
+	prov := provenance{cache: "off"}
 	info, err := os.Stat(path)
 	if err != nil {
-		res.Verdict = VerdictFailed
+		res.Verdict, res.Tier = VerdictFailed, TierNone
 		res.Err = fmt.Errorf("%w: %v", ErrInternal, err)
-		res.Tier = TierNone
-		return res, provenance{cache: "off", tier: TierNone}, "", true
+		return res, prov, "", true
 	}
 	if info.Size() > e.cfg.MaxBytes {
 		res.Bytes = info.Size()
-		prov := provenance{cache: "off"}
 		prefix, err := readPrefix(path, e.cfg.MaxBytes)
 		if err != nil {
-			res.Verdict = VerdictFailed
+			res.Verdict, res.Tier = VerdictFailed, TierNone
 			res.Err = fmt.Errorf("%w: %v", ErrInternal, err)
-		} else {
-			cause := fmt.Errorf("%w: file is %d bytes (limit %d)",
-				ErrTooLarge, info.Size(), e.cfg.MaxBytes)
-			res.Verdict, res.Malicious, res.Err = e.degrade(ctx, prefix, cause)
-			if e.cfg.Audit != nil {
-				// Only the scanned prefix was ever read; its digest is what
-				// the verdict answers for.
-				prov.sha = hexKey(contentKey(prefix))
-			}
+			return res, prov, "", true
 		}
-		res.Tier = tierFor(res.Verdict, false)
-		prov.tier = res.Tier
+		e.degrade(ctx, &res, prefix, fmt.Errorf("%w: file is %d bytes (limit %d)",
+			ErrTooLarge, info.Size(), e.cfg.MaxBytes))
+		if e.cfg.Audit != nil {
+			// Only the scanned prefix was ever read; its digest is what the
+			// verdict answers for.
+			prov.sha = hexKey(contentKey(prefix))
+		}
 		return res, prov, "", true
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		res.Verdict = VerdictFailed
+		res.Verdict, res.Tier = VerdictFailed, TierNone
 		res.Err = fmt.Errorf("%w: %v", ErrInternal, err)
-		res.Tier = TierNone
-		return res, provenance{cache: "off", tier: TierNone}, "", true
+		return res, prov, "", true
 	}
 	return res, provenance{}, string(data), false
 }
 
-// scanSource runs the guarded pipeline over src and degrades on any
-// structured failure. Duration is left for the caller to stamp. Content
-// already classified cleanly by this engine is answered from the verdict
-// cache, and — when the triage tier is enabled — plainly benign content is
-// cleared lexically, both without running the pipeline. The returned
-// provenance feeds the audit trail; it stays zero-valued (and costs
-// nothing) when auditing is disabled.
-func (e *Engine) scanSource(ctx context.Context, ins *instruments, name, src string) (Result, provenance) {
-	ctx, res, prov, key, state := e.scanSourceFront(ctx, ins, nil, name, src)
-	if state == frontDone {
-		return res, prov
-	}
-	fctx, cancel := context.WithTimeout(ctx, e.cfg.Timeout)
-	defer cancel()
-	csrc := src
-	if e.deobOn(ctx) {
-		// Normalization shares the per-file deadline with classification:
-		// a pathological input cannot buy itself extra wall time by being
-		// expensive to deobfuscate. The classifier sees the normalized
-		// source; caching, auditing, and degradation keep using src.
-		csrc, res.DeobPasses = e.normalizeSource(fctx, src)
-		prov.deobPasses = res.DeobPasses
-	}
-	if prov.rset != nil {
-		// Full rules pass, post-deobfuscation: signatures and lists see the
-		// raw bytes, the normalized source, and (when a rule needs it) the
-		// AST. A forcing hit or allow-list clear answers here without ever
-		// running the model; annotation hits ride along on its verdict.
-		rv := e.evalRules(fctx, prov.rset, name, src, csrc)
-		res.RuleHits = rv.Hits
-		switch rv.Action {
-		case rules.ActionMalicious:
-			return e.finishRules(ctx, res, prov, key, true)
-		case rules.ActionBenign:
-			return e.finishRules(ctx, res, prov, key, false)
-		}
-	}
-	malicious, err := e.classify(fctx, csrc)
-	return e.finishScan(ctx, res, prov, key, src, malicious, err)
-}
-
-// frontState is scanSourceFront's outcome.
+// frontState is front's outcome.
 type frontState int
 
 const (
-	// frontDone: res is final (guard failure, cache hit, or triage clear).
+	// frontDone: res is final (guard failure, cache hit, deny-list hit, or
+	// triage clear).
 	frontDone frontState = iota
-	// frontPipeline: the caller owns the pipeline run and must finish with
-	// finishScan.
+	// frontPipeline: the script goes on to deobfuscation, rules, and the
+	// classifier.
 	frontPipeline
 	// frontFollower: byte-identical content is already pipeline-bound in
-	// this batch (see batchDedup); finalize after the batch, when the
+	// this run (see batchDedup); finalize after the batch, when the
 	// leader's verdict has landed in the cache.
 	frontFollower
 )
 
-// scanSourceFront runs everything that comes before the full pipeline: the
-// size guard, the verdict cache, batch deduplication, the pre-triage
-// deny-list stage, and the triage tier. The returned context carries the
-// stage-timing collector when auditing and must be used for the pipeline.
-func (e *Engine) scanSourceFront(ctx context.Context, ins *instruments, dedup *batchDedup, name, src string) (context.Context, Result, provenance, cacheKey, frontState) {
+// front runs everything that comes before the full pipeline: the size
+// guard, the verdict cache, batch deduplication, the pre-triage deny-list
+// stage, and the triage tier. Content already classified cleanly by this
+// engine is answered from the cache, and — when the triage tier is enabled
+// — plainly benign content is cleared lexically, both without running the
+// pipeline. The returned context carries the stage-timing collector when
+// auditing and must be used for the pipeline.
+func (e *Engine) front(ctx context.Context, ins *instruments, dedup *batchDedup, name, src string) (context.Context, Result, provenance, cacheKey, frontState) {
 	res := Result{Path: name, Bytes: int64(len(src))}
 	var prov provenance
 	var key cacheKey
 	auditing := e.cfg.Audit != nil
-	alerting := e.cfg.Alert != nil
 	if auditing {
 		prov.cache = "off"
 		prov.stages = obs.NewStageTimings()
@@ -629,15 +466,12 @@ func (e *Engine) scanSourceFront(ctx context.Context, ins *instruments, dedup *b
 		// Oversized inputs never reach the rules layer: the pipeline only
 		// ever sees a prefix, and a deny verdict must answer for the whole
 		// input or not at all.
-		cause := fmt.Errorf("%w: input is %d bytes (limit %d)",
-			ErrTooLarge, len(src), e.cfg.MaxBytes)
-		res.Verdict, res.Malicious, res.Err = e.degrade(ctx, src[:e.cfg.MaxBytes], cause)
-		res.Tier = tierFor(res.Verdict, false)
+		e.degrade(ctx, &res, src[:e.cfg.MaxBytes], fmt.Errorf("%w: input is %d bytes (limit %d)",
+			ErrTooLarge, len(src), e.cfg.MaxBytes))
 		if auditing {
 			// Digest the full input, not the scanned prefix: the audit line
 			// must answer for the content as submitted.
 			prov.sha = hexKey(contentKey(src))
-			prov.tier = res.Tier
 		}
 		return ctx, res, prov, key, frontDone
 	}
@@ -645,46 +479,25 @@ func (e *Engine) scanSourceFront(ctx context.Context, ins *instruments, dedup *b
 	// reload mid-scan must never mix generations within one file. Generation
 	// 0 means rules are disabled.
 	prov.rset = e.currentRules()
-	gen := prov.rset.Generation()
-	if e.cache != nil || auditing || alerting {
-		key = contentKey(src)
-		if auditing || alerting {
-			prov.sha = hexKey(key)
+	if e.cache != nil || auditing || e.cfg.Alert != nil {
+		key = cacheKey{sum: contentKey(src), deob: e.deobOn(ctx), rulesGen: prov.rset.Generation()}
+		if auditing || e.cfg.Alert != nil {
+			prov.sha = hexKey(key.sum)
 		}
 	}
 	if e.cache != nil {
 		if ent, ok := e.cache.get(key); ok {
-			// A cached triage clear is only as strong a claim as the triage
-			// tier itself: an engine running without triage must recompute,
-			// not alias it to a full verdict. Likewise a pipeline verdict
-			// only answers for the deobfuscation setting it ran under —
-			// serving a raw-source verdict to a deobfuscating scan (or the
-			// reverse) would alias two different pipelines. Triage entries
-			// are deob-agnostic: triage always scores the raw bytes. And
-			// every entry answers only for the rule generation it was
-			// computed under: after a reload the whole cache goes stale,
-			// because the new rules could flip any verdict.
-			servable := ent.tier != TierTriage || e.triage != nil
-			if ent.tier != TierTriage && ent.deob != e.deobOn(ctx) {
-				servable = false
+			ins.cacheHit.Inc()
+			res.Verdict, res.Malicious, res.Tier = ent.verdict, ent.malicious, TierCache
+			res.RuleHits = ent.ruleHits
+			if auditing {
+				prov.cache, prov.cacheTier = "hit", ent.tier
 			}
-			if ent.rulesGen != gen {
-				servable = false
-			}
-			if servable {
-				ins.cacheHit.Inc()
-				res.Verdict, res.Malicious = ent.verdict, ent.malicious
-				res.Tier = TierCache
-				res.RuleHits = ent.ruleHits
-				if auditing {
-					prov.cache, prov.tier, prov.cacheTier = "hit", TierCache, ent.tier
-				}
-				return ctx, res, prov, key, frontDone
-			}
+			return ctx, res, prov, key, frontDone
 		}
 		if dedup != nil && !dedup.claim(key) {
 			// Byte-identical content is already bound for the pipeline in
-			// this batch. Don't parse it again: finalize this one after the
+			// this run. Don't parse it again: finalize this one after the
 			// batch, when the leader's verdict sits in the cache. Hit/miss
 			// accounting happens then, on the re-check.
 			return ctx, res, prov, key, frontFollower
@@ -698,106 +511,44 @@ func (e *Engine) scanSourceFront(ctx context.Context, ins *instruments, dedup *b
 		// Pre-triage deny stage: deny-list IOCs match on the raw bytes, so a
 		// deny-listed indicator convicts before triage can clear the script
 		// — a deny verdict must not depend on the lexical score. Signatures
-		// wait for the full rules pass after deobfuscation (scanSource),
+		// wait for the full rules pass after deobfuscation (prepareSource),
 		// where they see the normalized source and the AST.
 		if rv := prov.rset.EvalText(ctx, src); rv.Action == rules.ActionMalicious {
-			res.Verdict, res.Malicious = VerdictMalicious, true
-			res.Tier = TierRules
 			res.RuleHits = rv.Hits
-			if e.cache != nil {
-				e.cache.put(key, res.Verdict, res.Malicious, TierRules, e.deobOn(ctx), gen, rv.Hits)
-			}
-			if auditing {
-				prov.tier = TierRules
-			}
-			return ctx, res, prov, key, frontDone
+			return ctx, e.settle(res, key, TierRules, true), prov, key, frontDone
 		}
 	}
 	if e.triage != nil && e.triage.Clear(src) {
 		// The lexical pre-filter found nothing suspicious: short-circuit to
 		// benign without parsing. Triage never flags — everything it cannot
-		// clear escalates to the pipeline below the caller.
-		res.Verdict, res.Malicious = VerdictBenign, false
-		res.Tier = TierTriage
-		if e.cache != nil {
-			e.cache.put(key, res.Verdict, res.Malicious, TierTriage, false, gen, nil)
-		}
-		if auditing {
-			prov.tier = TierTriage
-		}
-		return ctx, res, prov, key, frontDone
+		// clear escalates to the pipeline.
+		return ctx, e.settle(res, key, TierTriage, false), prov, key, frontDone
 	}
 	return ctx, res, prov, key, frontPipeline
 }
 
-// finishScan turns a pipeline outcome into the final result: clean verdicts
-// are cached as pipeline-tier entries, failures degrade to the fallback.
-func (e *Engine) finishScan(ctx context.Context, res Result, prov provenance, key cacheKey, src string, malicious bool, err error) (Result, provenance) {
-	auditing := e.cfg.Audit != nil
-	if err == nil {
-		res.Malicious = malicious
-		if malicious {
-			res.Verdict = VerdictMalicious
-		} else {
-			res.Verdict = VerdictBenign
-		}
-		res.Tier = TierPipeline
-		if e.cache != nil {
-			e.cache.put(key, res.Verdict, res.Malicious, TierPipeline, e.deobOn(ctx), prov.rset.Generation(), res.RuleHits)
-		}
-		if auditing {
-			prov.tier = TierPipeline
-		}
-		return res, prov
+// settle stamps a clean verdict produced by tier onto res and caches it
+// under key (rule hits included, so a cache hit replays the provenance).
+func (e *Engine) settle(res Result, key cacheKey, tier string, malicious bool) Result {
+	res.Verdict, res.Malicious, res.Tier = VerdictBenign, malicious, tier
+	if malicious {
+		res.Verdict = VerdictMalicious
 	}
-	res.Verdict, res.Malicious, res.Err = e.degrade(ctx, src, err)
-	res.Tier = tierFor(res.Verdict, false)
-	if auditing {
-		prov.tier = res.Tier
+	if e.cache != nil {
+		e.cache.put(key, cacheEntry{verdict: res.Verdict, malicious: malicious, tier: tier, ruleHits: res.RuleHits})
 	}
-	return res, prov
+	return res
 }
 
-// classify runs the full pipeline in an isolated goroutine: panics become
-// ErrInternal, and the select enforces the deadline even against a
-// classifier that ignores ctx (the cooperative parser cancellation bounds
-// how long such a goroutine can linger).
-func (e *Engine) classify(ctx context.Context, src string) (bool, error) {
-	type outcome struct {
-		malicious bool
-		err       error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{err: fmt.Errorf("%w: panic: %v", ErrInternal, r)}
-			}
-		}()
-		lim := parser.Limits{MaxDepth: e.cfg.MaxDepth, MaxTokens: e.cfg.MaxTokens}
-		var malicious bool
-		var err error
-		if lc, ok := e.c.(LimitedClassifier); ok {
-			malicious, err = lc.DetectWithLimits(ctx, src, lim)
-		} else {
-			malicious, err = e.c.DetectCtx(ctx, src)
-		}
-		ch <- outcome{malicious: malicious, err: classifyError(err, ctx)}
-	}()
-	select {
-	case o := <-ch:
-		return o.malicious, o.err
-	case <-ctx.Done():
-		return false, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-	}
-}
-
-// degrade produces the fallback verdict for a file whose full-pipeline run
-// failed with cause. The fallback runs with panic isolation and without the
-// (already spent) per-file deadline.
-func (e *Engine) degrade(ctx context.Context, src string, cause error) (Verdict, bool, error) {
+// degrade fills res with the fallback verdict for a script whose full
+// pipeline failed (or was never attempted) with cause: degraded with the
+// fallback's opinion, or failed when the fallback is disabled or fails too.
+// The fallback runs with panic isolation and without the (already spent)
+// per-file deadline.
+func (e *Engine) degrade(ctx context.Context, res *Result, src string, cause error) {
+	res.Verdict, res.Malicious, res.Tier, res.Err = VerdictFailed, false, TierNone, cause
 	if e.cfg.NoFallback {
-		return VerdictFailed, false, cause
+		return
 	}
 	ctx, sp := obs.StartSpan(ctx, "scan.fallback")
 	defer sp.End()
@@ -810,9 +561,10 @@ func (e *Engine) degrade(ctx context.Context, src string, cause error) (Verdict,
 		return e.cfg.Fallback.DetectCtx(ctx, src)
 	}()
 	if err != nil {
-		return VerdictFailed, false, fmt.Errorf("%w (fallback also failed: %v)", cause, err)
+		res.Err = fmt.Errorf("%w (fallback also failed: %v)", cause, err)
+		return
 	}
-	return VerdictDegraded, malicious, cause
+	res.Verdict, res.Malicious, res.Tier = VerdictDegraded, malicious, TierFallback
 }
 
 // readPrefix reads at most n bytes from path.
@@ -868,7 +620,7 @@ func summarize(results []Result, wall time.Duration) Stats {
 		durs = append(durs, r.Duration)
 	}
 	if len(durs) > 0 {
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+		slices.Sort(durs)
 		s.P50 = durs[len(durs)/2]
 		s.P99 = durs[(len(durs)*99)/100]
 	}

@@ -56,21 +56,27 @@ func trainedDetector(t testing.TB) (*core.Detector, []core.Sample) {
 // expires, simulating a timeout-inducing sample deterministically.
 const slowMarker = "/*@scan-test-slow@*/"
 
-// markedSlow wraps a real detector: files carrying slowMarker hang until
-// cancelled (as a pathological input would), everything else runs the full
-// pipeline with the engine's limits.
+// markedSlow wraps a real detector as a BatchClassifier: scripts carrying
+// slowMarker hang in PrepareBatch until cancelled (as a pathological input
+// would); everything else runs the detector's own prepare and classify
+// under the engine's limits.
 type markedSlow struct{ det *core.Detector }
 
+// DetectCtx satisfies Classifier; the engine drives the batch methods.
 func (m *markedSlow) DetectCtx(ctx context.Context, src string) (bool, error) {
-	return m.DetectWithLimits(ctx, src, parser.Limits{})
+	return m.det.DetectCtx(ctx, src)
 }
 
-func (m *markedSlow) DetectWithLimits(ctx context.Context, src string, lim parser.Limits) (bool, error) {
+func (m *markedSlow) PrepareBatch(ctx context.Context, src string, lim parser.Limits) (any, error) {
 	if strings.Contains(src, slowMarker) {
 		<-ctx.Done()
-		return false, ctx.Err()
+		return nil, ctx.Err()
 	}
-	return m.det.DetectWithLimits(ctx, src, lim)
+	return m.det.PrepareBatch(ctx, src, lim)
+}
+
+func (m *markedSlow) ClassifyBatch(ctx context.Context, prepared []any) ([]bool, error) {
+	return m.det.ClassifyBatch(ctx, prepared)
 }
 
 // TestScanPathologicalDirectory is the acceptance scenario: one directory

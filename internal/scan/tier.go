@@ -14,8 +14,8 @@ const (
 	// TierPipeline: the full parse → embed → classify pipeline decided.
 	TierPipeline = "pipeline"
 	// TierCache: the verdict was served from the verdict cache. The
-	// cached entry remembers its own producing tier (see cacheEntry.tier
-	// and audit.Record.CacheTier).
+	// producing tier travels with the entry only for the audit record's
+	// cache_tier (audit.Record.CacheTier).
 	TierCache = "cache"
 	// TierRules: the declarative rules layer decided — a deny-list hit or
 	// a forcing signature forced malicious, or an allow-list hit

@@ -136,9 +136,12 @@ func TestTriageDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestCachedTriageVerdictNotAliased pins the anti-aliasing rule: a cached
-// triage clear must not be served by an engine whose triage is disabled —
-// that engine promised full-pipeline verdicts, so it must recompute.
+// TestCachedTriageVerdictNotAliased: a triage-enabled engine serves its own
+// cached triage clear without running the pipeline. A triage entry can
+// only come from an engine with triage on, since the cache belongs to one
+// engine and the triage threshold is fixed when it is built; so no triage-off
+// engine ever reads one, and no triage re-put can overwrite a pipeline
+// entry (identical content under the same key hits the cache first).
 func TestCachedTriageVerdictNotAliased(t *testing.T) {
 	var pipelineRuns int64
 	counting := ClassifierFunc(func(ctx context.Context, src string) (bool, error) {
@@ -147,38 +150,15 @@ func TestCachedTriageVerdictNotAliased(t *testing.T) {
 	})
 	ctx := obs.WithRegistry(context.Background(), obs.NewRegistry())
 	src := clearableBenign(t, 1)[0]
-	key := contentKey(src)
 
-	// An engine without triage finds a triage-tier entry in its cache (as
-	// if written before a config change): it must ignore it and run the
-	// pipeline, then overwrite the entry with the stronger claim.
-	plain := New(counting, Config{Workers: 1})
-	plain.cache.put(key, VerdictBenign, false, TierTriage, false, 0, nil)
-	res := plain.ScanSource(ctx, "a.js", src)
-	if got := atomic.LoadInt64(&pipelineRuns); got != 1 {
-		t.Fatalf("pipeline ran %d times, want 1 (triage entry must not be served)", got)
-	}
-	if res.Tier != TierPipeline {
-		t.Errorf("tier = %q, want %q", res.Tier, TierPipeline)
-	}
-	if ent, ok := plain.cache.get(key); !ok || ent.tier != TierPipeline {
-		t.Errorf("cache entry after rescan = (%v, %q), want pipeline-tier entry", ok, ent.tier)
-	}
-
-	// The reverse direction: a triage-enabled engine serves both its own
-	// triage entries and full-pipeline entries.
 	tiered := New(counting, Config{Workers: 1, Triage: triageOn()})
-	tiered.cache.put(key, VerdictBenign, false, TierTriage, false, 0, nil)
-	res = tiered.ScanSource(ctx, "b.js", src)
+	tiered.cache.put(cacheKey{sum: contentKey(src)}, cacheEntry{verdict: VerdictBenign, tier: TierTriage})
+	res := tiered.ScanSource(ctx, "b.js", src)
 	if res.Tier != TierCache {
 		t.Errorf("tier = %q, want %q (triage entry is servable here)", res.Tier, TierCache)
 	}
-
-	// And a pipeline entry never downgrades to triage on re-put.
-	tiered.cache.put(key, VerdictBenign, false, TierPipeline, false, 0, nil)
-	tiered.cache.put(key, VerdictBenign, false, TierTriage, false, 0, nil)
-	if ent, _ := tiered.cache.get(key); ent.tier != TierPipeline {
-		t.Errorf("entry tier = %q after triage re-put, want pipeline kept", ent.tier)
+	if got := atomic.LoadInt64(&pipelineRuns); got != 0 {
+		t.Errorf("pipeline ran %d times, want 0", got)
 	}
 }
 
@@ -218,9 +198,10 @@ func TestAuditCarriesTriageTier(t *testing.T) {
 	}
 }
 
-// TestBatchedScanMatchesPerSource: ScanSources routes core.Detector through
-// the batched path; every verdict must equal what the per-source path
-// produces for the same content.
+// TestBatchedScanMatchesPerSource: every entry point runs core.Detector
+// through the batch driver — ScanSources, ScanFiles over the same content
+// on disk, and ScanSource — and each verdict must equal core's reference
+// per-script path, DetectWithLimits under the engine's parser limits.
 func TestBatchedScanMatchesPerSource(t *testing.T) {
 	det, samples := trainedDetector(t)
 	if _, ok := interface{}(det).(BatchClassifier); !ok {
@@ -228,13 +209,21 @@ func TestBatchedScanMatchesPerSource(t *testing.T) {
 	}
 	eng := New(det, Config{Workers: 4, CacheSize: -1})
 	ctx := obs.WithRegistry(context.Background(), obs.NewRegistry())
+	lim := parser.Limits{MaxDepth: eng.Config().MaxDepth, MaxTokens: eng.Config().MaxTokens}
+	dir := t.TempDir()
 
 	var sources []Source
+	var paths []string
 	for i, s := range samples {
 		if i == 12 {
 			break
 		}
 		sources = append(sources, Source{Name: fmt.Sprintf("s%d.js", i), Content: s.Source})
+		p := filepath.Join(dir, fmt.Sprintf("s%d.js", i))
+		if err := os.WriteFile(p, []byte(s.Source), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
 	}
 	var mu sync.Mutex
 	got := map[string]Result{}
@@ -246,18 +235,34 @@ func TestBatchedScanMatchesPerSource(t *testing.T) {
 	if stats.Scanned != len(sources) || stats.Failed != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	for _, s := range sources {
-		want := eng.ScanSource(ctx, s.Name, s.Content)
+	files, fstats := eng.ScanFiles(ctx, paths)
+	if fstats.Scanned != len(paths) || fstats.Failed != 0 {
+		t.Fatalf("ScanFiles stats = %+v", fstats)
+	}
+	for i, s := range sources {
+		want, err := det.DetectWithLimits(ctx, s.Content, lim)
+		if err != nil {
+			t.Fatalf("%s: DetectWithLimits: %v", s.Name, err)
+		}
 		r, ok := got[s.Name]
 		if !ok {
 			t.Fatalf("no result for %s", s.Name)
 		}
-		if r.Verdict != want.Verdict || r.Malicious != want.Malicious {
-			t.Errorf("%s: batched=(%v,%v) single=(%v,%v)",
-				s.Name, r.Verdict, r.Malicious, want.Verdict, want.Malicious)
-		}
-		if r.Tier != TierPipeline {
-			t.Errorf("%s: tier = %q, want pipeline", s.Name, r.Tier)
+		for _, c := range []struct {
+			entry string
+			r     Result
+		}{
+			{"ScanSources", r},
+			{"ScanFiles", files[i]},
+			{"ScanSource", eng.ScanSource(ctx, s.Name, s.Content)},
+		} {
+			if c.r.Err != nil || c.r.Malicious != want {
+				t.Errorf("%s %s: (%v, %v, err %v), reference malicious=%v",
+					c.entry, s.Name, c.r.Verdict, c.r.Malicious, c.r.Err, want)
+			}
+			if c.r.Tier != TierPipeline {
+				t.Errorf("%s %s: tier = %q, want pipeline", c.entry, s.Name, c.r.Tier)
+			}
 		}
 	}
 }

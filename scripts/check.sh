@@ -16,6 +16,16 @@ sh scripts/doccheck.sh
 echo "==> go build ./..."
 go build ./...
 
+# Dead-package gate: every internal package must be imported by at least
+# one non-test package. A package only its own tests exercise is dead code
+# that still costs review, vet, and test time; delete it instead.
+echo "==> dead-package check (every ./internal/... package has a non-test importer)"
+imported=$(go list -f '{{join .Imports "\n"}}' ./... | sort -u)
+for pkg in $(go list ./internal/...); do
+    echo "$imported" | grep -qx "$pkg" || {
+        echo "$pkg is imported by no non-test package" >&2; exit 1; }
+done
+
 echo "==> go test ./..."
 go test ./...
 
