@@ -434,10 +434,9 @@ type PreparedScript struct {
 // extraction, vocabulary lookup) under the same limits and cancellation
 // semantics as DetectWithLimits and returns the prepared state for a later
 // ClassifyBatch. Splitting detection this way lets a scanner parse scripts
-// concurrently, then amortize the NN hot path across the whole batch; the
-// PrepareBatch + ClassifyBatch sequence is verdict-identical to calling
-// DetectWithLimits per script (nn.EmbedBatch is pinned bit-identical to
-// nn.Embed by golden test, and featurization/classification are unchanged).
+// concurrently, then share the model's per-path work across the whole
+// batch; the PrepareBatch + ClassifyBatch sequence is verdict-identical to
+// calling DetectWithLimits per script (TestClassifyBatchMatchesReference).
 func (d *Detector) PrepareBatch(ctx context.Context, src string, lim parser.Limits) (any, error) {
 	if d.classifier == nil {
 		return nil, ErrNotTrained
@@ -464,11 +463,15 @@ func (d *Detector) PrepareBatch(ctx context.Context, src string, lim parser.Limi
 	return &PreparedScript{keys: keys}, nil
 }
 
-// ClassifyBatch finishes a batch of prepared scripts: one batched embedding
-// pass over every script's path keys, then per-script featurization and
-// classification. The result slice is parallel to prepared. Embed and
-// classify stage time accrues to ctx's span tree once per batch rather than
-// once per script.
+// ClassifyBatch finishes a batch of prepared scripts in two phases without
+// materializing a single embedding vector. Phase 1 ("embed") computes each
+// distinct canonical path key of the whole batch once: its attention logit
+// and its nearest cluster feature. Phase 2 ("classify") runs, per script,
+// the softmax over its logits in path order, accrues each weight to its
+// path's cluster, normalizes and predicts. The result slice is parallel to
+// prepared, and every feature vector is bit-identical to featurize(Embed)
+// (TestClassifyBatchMatchesReference). Stage time accrues to ctx's span
+// tree once per batch rather than once per script.
 func (d *Detector) ClassifyBatch(ctx context.Context, prepared []any) ([]bool, error) {
 	if d.classifier == nil {
 		return nil, ErrNotTrained
@@ -488,19 +491,96 @@ func (d *Detector) ClassifyBatch(ctx context.Context, prepared []any) ([]bool, e
 		return nil, err
 	}
 	_, esp := obs.StartSpan(ctx, "embed")
-	batch := d.model.EmbedBatch(keySets)
+	pt := d.newPathTable(keySets)
 	d.record(ctx, stgEmbed, esp.End())
 
 	_, csp := obs.StartSpan(ctx, "classify")
 	out := make([]bool, len(prepared))
-	for i, embs := range batch {
+	for i := range keySets {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[i] = d.classifier.Predict(d.featurize(embs))
+		out[i] = d.classifier.Predict(pt.features(i))
 	}
 	d.record(ctx, stgClassify, csp.End())
 	return out, nil
+}
+
+// pathTable is ClassifyBatch's per-call state: the per-path work of one
+// batch, done once per distinct canonical key. It lives for one call only.
+type pathTable struct {
+	d *Detector
+	// logit[u] and cluster[u] belong to the u-th distinct key; cluster is
+	// cluster.Assign's feature index (-1 without features).
+	logit   []float64
+	cluster []int
+	// scripts[i] lists script i's paths, in order, as distinct-key indexes.
+	scripts [][]int32
+}
+
+// newPathTable runs phase 1 over every path of the batch.
+func (d *Detector) newPathTable(keySets [][]nn.PathKey) *pathTable {
+	total := 0
+	for _, keys := range keySets {
+		total += len(keys)
+	}
+	pt := &pathTable{
+		d:       d,
+		logit:   make([]float64, 0, total),
+		cluster: make([]int, 0, total),
+		scripts: make([][]int32, len(keySets)),
+	}
+	refs := make([]int32, total)
+	dim := d.model.Config().Dim
+	pre, v := make([]float64, dim), make([]float64, dim)
+	centroids := d.centroids()
+	index := make(map[nn.PathKey]int32, total)
+	for i, keys := range keySets {
+		pt.scripts[i], refs = refs[:len(keys):len(keys)], refs[len(keys):]
+		for j, key := range keys {
+			ck := d.model.CanonicalKey(key)
+			u, seen := index[ck]
+			if !seen {
+				u = int32(len(pt.logit))
+				index[ck] = u
+				pt.logit = append(pt.logit, d.model.PathLogit(ck, pre, v))
+				pt.cluster = append(pt.cluster, cluster.Assign(centroids, v))
+			}
+			pt.scripts[i][j] = u
+		}
+	}
+	return pt
+}
+
+// features is phase 2 for script i: Equation 6 over the table, summing in
+// path order exactly as featurize does over Embed's output.
+func (pt *pathTable) features(i int) []float64 {
+	d, refs := pt.d, pt.scripts[i]
+	v := make([]float64, len(d.features))
+	if len(d.features) == 0 || len(refs) == 0 {
+		return linalg.MinMaxNormalize(v)
+	}
+	var weights []float64
+	if !d.opts.UniformWeights {
+		scores := make([]float64, len(refs))
+		for j, u := range refs {
+			scores[j] = pt.logit[u]
+		}
+		weights = linalg.Softmax(scores, nil)
+	}
+	uniform := 1 / float64(len(refs))
+	for j, u := range refs {
+		idx := pt.cluster[u]
+		if idx < 0 {
+			continue
+		}
+		if weights == nil {
+			v[idx] += uniform
+		} else {
+			v[idx] += weights[j]
+		}
+	}
+	return linalg.MinMaxNormalize(v)
 }
 
 // DetectProgram classifies an already-parsed program (used by benchmarks to

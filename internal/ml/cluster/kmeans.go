@@ -54,16 +54,65 @@ func (r *Result) Sizes() []int {
 	return sizes
 }
 
-// Assign returns the index of the closest centroid to v.
+// Assign returns the index of the closest centroid to v: the first on
+// ties, -1 when there are no centroids or every distance is NaN. Distances
+// are computed four centroids at a time so the four sums' additions overlap
+// in the pipeline; each sum still adds its terms in SquaredDistance's order
+// and the comparisons run in index order, so the result is exactly the
+// plain loop's.
 func Assign(centroids [][]float64, v []float64) int {
 	best, bestD := -1, math.Inf(1)
-	for i, c := range centroids {
-		d := linalg.SquaredDistance(c, v)
-		if d < bestD {
+	i := 0
+	for ; i+4 <= len(centroids); i += 4 {
+		d0, d1, d2, d3 := squaredDistances4(centroids[i:i+4:i+4], v)
+		if d0 < bestD {
+			best, bestD = i, d0
+		}
+		if d1 < bestD {
+			best, bestD = i+1, d1
+		}
+		if d2 < bestD {
+			best, bestD = i+2, d2
+		}
+		if d3 < bestD {
+			best, bestD = i+3, d3
+		}
+	}
+	for ; i < len(centroids); i++ {
+		if d := linalg.SquaredDistance(centroids[i], v); d < bestD {
 			best, bestD = i, d
 		}
 	}
 	return best
+}
+
+// squaredDistances4 returns linalg.SquaredDistance(c[k], v) for the four
+// centroids, bit for bit: the sums run side by side over the prefix all
+// five vectors share, then each finishes its own tail in order.
+func squaredDistances4(c [][]float64, v []float64) (d0, d1, d2, d3 float64) {
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	n := min(len(v), len(c0), len(c1), len(c2), len(c3))
+	x := v[:n]
+	a0, a1, a2, a3 := c0[:len(x)], c1[:len(x)], c2[:len(x)], c3[:len(x)]
+	var s0, s1, s2, s3 float64
+	for j, vj := range x {
+		d0, d1, d2, d3 := a0[j]-vj, a1[j]-vj, a2[j]-vj, a3[j]-vj
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return sumTail(s0, c0, v, n), sumTail(s1, c1, v, n),
+		sumTail(s2, c2, v, n), sumTail(s3, c3, v, n)
+}
+
+// sumTail continues SquaredDistance(c, v)'s sum s from index j.
+func sumTail(s float64, c, v []float64, j int) float64 {
+	for ; j < len(c) && j < len(v); j++ {
+		d := c[j] - v[j]
+		s += d * d
+	}
+	return s
 }
 
 // KMeans runs Lloyd's algorithm with K-Means++-style seeding, parallelizing

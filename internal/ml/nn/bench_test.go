@@ -33,24 +33,6 @@ func BenchmarkEmbed(b *testing.B) {
 	}
 }
 
-// BenchmarkEmbedBatch embeds 16 scripts' key sets in one call; divided by
-// 16 it is directly comparable to BenchmarkEmbed's per-script cost and
-// shows what the batch API saves in pool traffic and result allocations.
-func BenchmarkEmbedBatch(b *testing.B) {
-	m, keys := benchModel(b)
-	sets := make([][]PathKey, 16)
-	for i := range sets {
-		sets[i] = keys[i*25 : i*25+25]
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := m.EmbedBatch(sets); len(out) != len(sets) {
-			b.Fatal("short batch")
-		}
-	}
-}
-
 // BenchmarkPredictProb measures the forward pass without the Embed copy-out,
 // i.e. the steady-state allocation floor of the pooled workspace.
 func BenchmarkPredictProb(b *testing.B) {

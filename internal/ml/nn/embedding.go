@@ -168,21 +168,21 @@ func (m *Model) KeyOf(src, structure, tgt uint64) PathKey {
 }
 
 // scratch is a reusable forward/backward workspace. The per-path vectors
-// live in flat backing arrays sliced per path, so one Detect costs a few
+// live in one flat backing array sliced per path, so one Detect costs a few
 // pooled buffers instead of thousands of per-path allocations. All
 // accumulation buffers are zeroed before use, which keeps the arithmetic
 // bit-identical to the previous freshly-allocated implementation.
 type scratch struct {
 	keys []PathKey
-	// preFlat/vecFlat back the per-path pre and vecs slices.
-	preFlat, vecFlat []float64
-	pre              [][]float64 // pre-activation sums w_src + w_struct + w_tgt
-	vecs             [][]float64 // tanh outputs p'_i
-	scores           []float64   // attention logits
-	weights          []float64   // attention α_i
-	agg              []float64   // v
-	logits           [2]float64
-	probs            [2]float64 // softmax output
+	// vecFlat backs the per-path vecs slices.
+	vecFlat []float64
+	pre     []float64   // one path's pre-activation sum, reused per path
+	vecs    [][]float64 // tanh outputs p'_i
+	scores  []float64   // attention logits
+	weights []float64   // attention α_i
+	agg     []float64   // v
+	logits  [2]float64
+	probs   [2]float64 // softmax output
 	// Backward temporaries (step only).
 	dv, dattn, dp []float64
 	dalpha        []float64
@@ -191,12 +191,10 @@ type scratch struct {
 // grow sizes the workspace for n paths of dimension dim, reusing backing
 // arrays whenever they are already large enough.
 func (sc *scratch) grow(n, dim int) {
-	if need := n * dim; cap(sc.preFlat) < need {
-		sc.preFlat = make([]float64, need)
+	if need := n * dim; cap(sc.vecFlat) < need {
 		sc.vecFlat = make([]float64, need)
 	}
-	if cap(sc.pre) < n {
-		sc.pre = make([][]float64, n)
+	if cap(sc.vecs) < n {
 		sc.vecs = make([][]float64, n)
 	}
 	if cap(sc.scores) < n {
@@ -205,14 +203,15 @@ func (sc *scratch) grow(n, dim int) {
 		sc.dalpha = make([]float64, n)
 	}
 	if cap(sc.agg) < dim {
+		sc.pre = make([]float64, dim)
 		sc.agg = make([]float64, dim)
 		sc.dv = make([]float64, dim)
 		sc.dattn = make([]float64, dim)
 		sc.dp = make([]float64, dim)
 	}
-	sc.pre, sc.vecs = sc.pre[:n], sc.vecs[:n]
+	sc.vecs = sc.vecs[:n]
 	sc.scores, sc.weights, sc.dalpha = sc.scores[:n], sc.weights[:n], sc.dalpha[:n]
-	sc.agg = sc.agg[:dim]
+	sc.pre, sc.agg = sc.pre[:dim], sc.agg[:dim]
 	sc.dv, sc.dattn, sc.dp = sc.dv[:dim], sc.dattn[:dim], sc.dp[:dim]
 }
 
@@ -247,18 +246,9 @@ func (m *Model) forward(keys []PathKey, sc *scratch) {
 		return
 	}
 	for i, key := range keys {
-		pre := sc.preFlat[i*dim : (i+1)*dim : (i+1)*dim]
-		linalg.Zero(pre)
-		for s, idx := range [3]int{key.Src, key.Struct, key.Tgt} {
-			linalg.AddInPlace(pre, m.rowFor(s, idx))
-		}
 		v := sc.vecFlat[i*dim : (i+1)*dim : (i+1)*dim]
-		for j := range v {
-			v[j] = math.Tanh(pre[j])
-		}
-		sc.pre[i] = pre
 		sc.vecs[i] = v
-		sc.scores[i] = linalg.Dot(v, m.attn)
+		sc.scores[i] = m.PathLogit(key, sc.pre, v)
 	}
 	linalg.Softmax(sc.scores, sc.weights)
 	for i, v := range sc.vecs {
@@ -275,13 +265,54 @@ func (m *Model) logits(v []float64) [2]float64 {
 	}
 }
 
+// PathLogit is the per-path half of the forward pass, the one definition
+// training, Embed and batched classification share: it writes the path's
+// pre-activation sum of component rows into pre and its embedding
+// tanh(pre) into v (both Dim long, caller-owned), and returns the path's
+// attention logit. key may be raw or canonical (CanonicalKey); both embed
+// identically. Only the softmax over a script's logits depends on the
+// other paths.
+func (m *Model) PathLogit(key PathKey, pre, v []float64) float64 {
+	linalg.Zero(pre)
+	for s, idx := range [3]int{key.Src, key.Struct, key.Tgt} {
+		linalg.AddInPlace(pre, m.rowFor(s, idx))
+	}
+	for j := range v {
+		v[j] = math.Tanh(pre[j])
+	}
+	return linalg.Dot(v, m.attn)
+}
+
+// unkIndex marks a component CanonicalKey collapsed to its slot's UNK row.
+const unkIndex = -1
+
+// CanonicalKey returns key with every out-of-vocabulary component replaced
+// by a per-slot UNK marker. Two keys with the same canonical form resolve
+// to the same three rows, so they have bit-identical embeddings and
+// logits; a caller can compute PathLogit once per canonical key.
+func (m *Model) CanonicalKey(key PathKey) PathKey {
+	if m.known == nil {
+		return key
+	}
+	if !m.known[key.Src] {
+		key.Src = unkIndex
+	}
+	if !m.known[key.Struct] {
+		key.Struct = unkIndex
+	}
+	if !m.known[key.Tgt] {
+		key.Tgt = unkIndex
+	}
+	return key
+}
+
 // rowFor resolves the embedding row for a component: the bucket's own row
 // when in-vocabulary, else the slot's shared UNK row.
 func (m *Model) rowFor(slot, idx int) []float64 {
-	if m.known == nil || m.known[idx] {
-		return m.embed[idx]
+	if idx == unkIndex || (m.known != nil && !m.known[idx]) {
+		return m.unk[slot]
 	}
-	return m.unk[slot]
+	return m.embed[idx]
 }
 
 // Train runs SGD over the samples for the configured number of epochs and
@@ -447,68 +478,6 @@ func (m *Model) Embed(keys []PathKey) []Embedding {
 		v := flat[i*dim : (i+1)*dim : (i+1)*dim]
 		copy(v, sc.vecs[i])
 		out[i] = Embedding{Vector: v, Weight: sc.weights[i]}
-	}
-	return out
-}
-
-// EmbedBatch embeds the path keys of many scripts in one pass: a single
-// pooled workspace sized for the whole batch, one flat loop over every path
-// (the gemm-shaped hot loop the per-script API fragments into per-call
-// setup), and per-script attention softmaxes over contiguous score
-// segments. Output slot i is bit-identical to Embed(keySets[i]) — the
-// per-path and per-script arithmetic runs in exactly the order forward
-// uses, pinned by TestEmbedBatchGolden — while the batch amortizes pool
-// leases and allocates the results in two flat arrays instead of per
-// script.
-func (m *Model) EmbedBatch(keySets [][]PathKey) [][]Embedding {
-	total := 0
-	for _, keys := range keySets {
-		total += len(keys)
-	}
-	sc := m.getScratch(total)
-	defer m.putScratch(sc)
-	dim := m.cfg.Dim
-
-	// Phase 1: every path of every script through the embedding sum, tanh,
-	// and attention logit — one contiguous loop over the flat workspace.
-	off := 0
-	for _, keys := range keySets {
-		for _, key := range keys {
-			pre := sc.preFlat[off*dim : (off+1)*dim : (off+1)*dim]
-			linalg.Zero(pre)
-			for s, idx := range [3]int{key.Src, key.Struct, key.Tgt} {
-				linalg.AddInPlace(pre, m.rowFor(s, idx))
-			}
-			v := sc.vecFlat[off*dim : (off+1)*dim : (off+1)*dim]
-			for j := range v {
-				v[j] = math.Tanh(pre[j])
-			}
-			sc.vecs[off] = v
-			sc.scores[off] = linalg.Dot(v, m.attn)
-			off++
-		}
-	}
-
-	// Phase 2: per-script attention softmax over each score segment, then
-	// copy vectors out of the pooled workspace into caller-owned flat
-	// backing (one allocation for all vectors, one for all Embeddings).
-	out := make([][]Embedding, len(keySets))
-	flat := make([]float64, total*dim)
-	embFlat := make([]Embedding, total)
-	off = 0
-	for si, keys := range keySets {
-		n := len(keys)
-		embs := embFlat[off : off+n : off+n]
-		if n > 0 {
-			linalg.Softmax(sc.scores[off:off+n], sc.weights[off:off+n])
-		}
-		for i := 0; i < n; i++ {
-			v := flat[(off+i)*dim : (off+i+1)*dim : (off+i+1)*dim]
-			copy(v, sc.vecs[off+i])
-			embs[i] = Embedding{Vector: v, Weight: sc.weights[off+i]}
-		}
-		out[si] = embs
-		off += n
 	}
 	return out
 }

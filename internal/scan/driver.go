@@ -5,8 +5,8 @@
 // own deadline and panic isolation — and emits anything that finishes there
 // (guard failure, cache hit, triage clear, rules verdict) immediately.
 // Phase 2 then classifies every surviving script in ONE ClassifyBatch call,
-// which lets the neural embedding run as a single batched pass (see
-// nn.EmbedBatch) instead of paying per-script pool and dispatch overhead.
+// which lets the model compute each distinct path of the batch once (see
+// core.Detector.ClassifyBatch) instead of once per script and occurrence.
 // A classifier without a batched back half runs through detectAdapter and
 // has its verdict decided in phase 1.
 package scan

@@ -2,7 +2,7 @@
 # bench.sh: run the hot-path benchmarks across every optimized layer — the
 # scan engine (cold, cached, tiered, and obfuscated-with/without
 # deobfuscation), the deobfuscation pass pipeline, the triage scorer, the
-# embedding network (per-script and batched), path hashing and extraction,
+# embedding network, batched classification, path hashing and extraction,
 # end-to-end detection, and the serving layer's batch
 # endpoint — and record one timestamped run
 # (with the git SHA) into BENCH_scan.json via cmd/benchcompare. Earlier
@@ -39,8 +39,8 @@ go test -bench 'BenchmarkPathHash|BenchmarkExtract' -benchmem -run '^$' \
 echo "==> end-to-end detection benchmark"
 go test -bench '^BenchmarkDetect$' -benchmem -run '^$' . | tee -a "$raw"
 
-echo "==> training pipeline benchmark (parallel fit)"
-go test -bench '^BenchmarkTrain$' -benchmem -run '^$' \
+echo "==> core benchmarks (parallel fit, batched classification)"
+go test -bench '^BenchmarkTrain$|^BenchmarkClassifyBatch$' -benchmem -run '^$' \
     ./internal/core/ | tee -a "$raw"
 
 echo "==> scan service benchmarks"
