@@ -307,26 +307,53 @@ func (p *Prepared) Build(kBenign, kMalicious int, trainer classify.Trainer) (*De
 func (d *Detector) Name() string { return "JSRevealer" }
 
 // extract parses a script under the given limits and extracts its path
-// contexts, attributing lex/parse and dataflow/traversal time separately
-// to the stage instruments and nesting "parse"/"pathctx" spans under
-// whatever span ctx already carries.
+// contexts: parse followed by ExtractPaths.
 func (d *Detector) extract(ctx context.Context, src string, lim parser.Limits) (extracted, error) {
+	prog, err := d.parse(ctx, src, lim)
+	if err != nil {
+		return extracted{}, err
+	}
+	return extracted{paths: d.ExtractPaths(ctx, prog)}, nil
+}
+
+// parse lexes and parses a script under the given limits, attributing lex
+// and parse time separately to the stage instruments under a "parse" span
+// nested in whatever span ctx already carries.
+func (d *Detector) parse(ctx context.Context, src string, lim parser.Limits) (*ast.Program, error) {
 	_, sp := obs.StartSpan(ctx, "parse")
 	prog, ptm, err := parser.ParseTimed(src, lim)
 	sp.End()
 	d.record(ctx, stgLex, ptm.Lex)
 	d.record(ctx, stgParse, ptm.Parse)
-	if err != nil {
-		return extracted{}, err
-	}
+	return prog, err
+}
 
-	_, sp = obs.StartSpan(ctx, "pathctx")
+// ExtractPaths extracts prog's path contexts with the detector's path
+// options (PathOptions), attributing data-flow and traversal time to the
+// stage instruments under a "pathctx" span. It is the second step of
+// PrepareBatch, exported so a caller that already holds the parsed program
+// — the scan engine shares one parse between the rules layer and the model
+// — extracts once.
+func (d *Detector) ExtractPaths(ctx context.Context, prog *ast.Program) []pathctx.Path {
+	_, sp := obs.StartSpan(ctx, "pathctx")
 	paths, xtm := pathctx.ExtractTimed(prog, d.opts.Path)
 	sp.End()
 	d.record(ctx, stgDataFlow, xtm.DataFlow)
 	d.record(ctx, stgTraverse, xtm.Traversal)
 	d.account().addFile()
-	return extracted{paths: paths}, nil
+	return paths
+}
+
+// PathOptions reports the path-extraction options ExtractPaths uses.
+func (d *Detector) PathOptions() pathctx.Options { return d.opts.Path }
+
+// keysOf reduces path contexts to the model's vocabulary keys.
+func (d *Detector) keysOf(paths []pathctx.Path) []nn.PathKey {
+	keys := make([]nn.PathKey, len(paths))
+	for i, p := range paths {
+		keys[i] = d.model.KeyOf(p.ComponentHashes())
+	}
+	return keys
 }
 
 // featurize converts a script's path embeddings into the cluster-feature
@@ -384,35 +411,23 @@ func (d *Detector) DetectCtx(ctx context.Context, src string) (bool, error) {
 // limits. When lim.Cancel is nil the context's Done channel is used, so a
 // deadline on ctx aborts even a parse of pathological input promptly.
 func (d *Detector) DetectWithLimits(ctx context.Context, src string, lim parser.Limits) (bool, error) {
-	if d.classifier == nil {
-		return false, ErrNotTrained
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if lim.Cancel == nil {
-		lim.Cancel = ctx.Done()
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
 	ctx, sp := obs.StartSpan(ctx, "detect")
 	defer sp.End()
-	ex, err := d.extract(ctx, src, lim)
+	// Unparseable input is suspicious but the paper's pipeline simply
+	// cannot featurize it; surface the error to the caller.
+	prog, err := d.ParseProgram(ctx, src, lim)
 	if err != nil {
-		// Unparseable input is suspicious but the paper's pipeline simply
-		// cannot featurize it; surface the error to the caller.
-		return false, fmt.Errorf("core: %w", err)
+		return false, err
 	}
+	paths := d.ExtractPaths(ctx, prog)
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	keys := make([]nn.PathKey, len(ex.paths))
-	for i, p := range ex.paths {
-		keys[i] = d.model.KeyOf(p.ComponentHashes())
-	}
 	_, esp := obs.StartSpan(ctx, "embed")
-	embs := d.model.Embed(keys)
+	embs := d.model.Embed(d.keysOf(paths))
 	d.record(ctx, stgEmbed, esp.End())
 
 	_, csp := obs.StartSpan(ctx, "classify")
@@ -437,7 +452,25 @@ type PreparedScript struct {
 // concurrently, then share the model's per-path work across the whole
 // batch; the PrepareBatch + ClassifyBatch sequence is verdict-identical to
 // calling DetectWithLimits per script (TestClassifyBatchMatchesReference).
+// It is ParseProgram, ExtractPaths and PreparePaths in sequence, under one
+// "detect" span.
 func (d *Detector) PrepareBatch(ctx context.Context, src string, lim parser.Limits) (any, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, sp := obs.StartSpan(ctx, "detect")
+	defer sp.End()
+	prog, err := d.ParseProgram(ctx, src, lim)
+	if err != nil {
+		return nil, err
+	}
+	return d.PreparePaths(d.ExtractPaths(ctx, prog)), nil
+}
+
+// ParseProgram is PrepareBatch's first step: it parses src under lim (with
+// ctx's Done channel as the cancel signal when lim.Cancel is nil),
+// recording the lex and parse stages under a "parse" span.
+func (d *Detector) ParseProgram(ctx context.Context, src string, lim parser.Limits) (*ast.Program, error) {
 	if d.classifier == nil {
 		return nil, ErrNotTrained
 	}
@@ -450,17 +483,18 @@ func (d *Detector) PrepareBatch(ctx context.Context, src string, lim parser.Limi
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ctx, sp := obs.StartSpan(ctx, "detect")
-	defer sp.End()
-	ex, err := d.extract(ctx, src, lim)
+	prog, err := d.parse(ctx, src, lim)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	keys := make([]nn.PathKey, len(ex.paths))
-	for i, p := range ex.paths {
-		keys[i] = d.model.KeyOf(p.ComponentHashes())
-	}
-	return &PreparedScript{keys: keys}, nil
+	return prog, nil
+}
+
+// PreparePaths is PrepareBatch's last step: it reduces a script's path
+// contexts — ExtractPaths' output — to the prepared state ClassifyBatch
+// consumes.
+func (d *Detector) PreparePaths(paths []pathctx.Path) any {
+	return &PreparedScript{keys: d.keysOf(paths)}
 }
 
 // ClassifyBatch finishes a batch of prepared scripts in two phases without
@@ -589,12 +623,7 @@ func (d *Detector) DetectProgram(prog *ast.Program) (bool, error) {
 	if d.classifier == nil {
 		return false, ErrNotTrained
 	}
-	paths := pathctx.Extract(prog, d.opts.Path)
-	keys := make([]nn.PathKey, len(paths))
-	for i, p := range paths {
-		keys[i] = d.model.KeyOf(p.ComponentHashes())
-	}
-	embs := d.model.Embed(keys)
+	embs := d.model.Embed(d.keysOf(pathctx.Extract(prog, d.opts.Path)))
 	return d.classifier.Predict(d.featurize(embs)), nil
 }
 

@@ -27,24 +27,19 @@ type Set struct {
 	deny  []*compiledList
 	sigs  []*compiledSig
 
-	// denyNeedles are the cheap prefilter probes for EvalText: one entry
-	// per deny-list indicator. needleFold entries are matched
-	// ASCII-case-insensitively (hosts), needleExact case-sensitively
-	// (literal strings). Extraction and proper confirmation only run when
-	// a probe hits, so the pre-triage stage stays near-free on clean
-	// traffic.
-	denyNeedles []needle
+	// denyNeedles gate EvalText: one probe per deny-list indicator,
+	// literal strings included. Extraction and list matching run only
+	// when a probe hits, so the pre-triage stage stays near-free on clean
+	// traffic (for lists within maxGateProbes; see ioc.go).
+	denyNeedles needles
+	// iocNeedles gate Eval's host/IP extraction: one probe per domain, TLD
+	// and IP of every allow and deny list (see ioc.go).
+	iocNeedles needles
 
 	// needPaths records whether any signature contains a path predicate,
 	// so the engine only parses the normalized source for rules when a
 	// rule can actually use the AST.
 	needPaths bool
-}
-
-// needle is one EvalText prefilter probe.
-type needle struct {
-	s    string
-	fold bool // ASCII-case-insensitive when true
 }
 
 // compiledList is a ListRule with lowercased host indicators and its
@@ -230,6 +225,7 @@ func Compile(files []*File) (*Set, error) {
 				return nil, err
 			}
 			set.allow = append(set.allow, cl)
+			set.iocNeedles.add(cl, false)
 		}
 		for i := range f.Deny {
 			cl, err := compileList(&f.Deny[i], HitDeny, SeverityHigh, claim)
@@ -237,18 +233,8 @@ func Compile(files []*File) (*Set, error) {
 				return nil, err
 			}
 			set.deny = append(set.deny, cl)
-			for _, d := range cl.domains {
-				set.denyNeedles = append(set.denyNeedles, needle{s: d, fold: true})
-			}
-			for ip := range cl.ips {
-				set.denyNeedles = append(set.denyNeedles, needle{s: ip})
-			}
-			for _, t := range cl.tlds {
-				set.denyNeedles = append(set.denyNeedles, needle{s: "." + t, fold: true})
-			}
-			for _, str := range cl.strs {
-				set.denyNeedles = append(set.denyNeedles, needle{s: str})
-			}
+			set.denyNeedles.add(cl, true)
+			set.iocNeedles.add(cl, false)
 		}
 	}
 	return set, nil

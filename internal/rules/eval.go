@@ -82,6 +82,22 @@ type Input struct {
 	Normalized string
 	// Prog is the parsed (normalized) program, or nil.
 	Prog *ast.Program
+	// Paths, when non-nil, supplies Prog's path contexts as
+	// pathctx.Extract(Prog, PathOptions()) would return them,
+	// so a caller that needs the same paths itself (the scan engine, for a
+	// model extracting with the default options) extracts them once. Eval
+	// calls it at most once, and only when a path predicate is reached.
+	// When nil, Eval extracts from Prog itself.
+	Paths func() []pathctx.Path
+}
+
+// texts returns the distinct text views: the raw source, then the
+// normalized one when it differs.
+func (in *Input) texts() []string {
+	if in.Normalized != "" && in.Normalized != in.Raw {
+		return []string{in.Raw, in.Normalized}
+	}
+	return []string{in.Raw}
 }
 
 // ShouldAlert reports whether hits warrant pushing an alert: any deny hit
@@ -97,33 +113,22 @@ func ShouldAlert(hits []Hit) bool {
 
 // EvalText is the pre-triage stage: deny lists only, against the raw bytes.
 // It exists so a deny-listed IOC is caught even on scripts the lexical
-// triage tier would clear without parsing. The fast path is a substring
-// prefilter; extraction and proper host/IP confirmation run only when a
-// probe hits, so clean traffic pays a near-zero toll. Safe on nil.
+// triage tier would clear without parsing. The fast path is the deny
+// needles' probe (see ioc.go); extraction and proper host/IP confirmation
+// run only when a probe hits, so clean traffic pays a near-zero toll. Safe
+// on nil.
 func (s *Set) EvalText(ctx context.Context, raw string) Verdict {
 	if s == nil || len(s.deny) == 0 {
 		return Verdict{}
 	}
-	hit := false
-	for _, n := range s.denyNeedles {
-		if n.fold {
-			if containsFold(raw, n.s) {
-				hit = true
-				break
-			}
-		} else if strings.Contains(raw, n.s) {
-			hit = true
-			break
-		}
-	}
-	if !hit {
+	x := extractor{n: &s.denyNeedles}
+	if !x.add(raw) && !s.denyNeedles.strIn(raw) {
 		return Verdict{}
 	}
 	texts := []string{raw}
-	io := extractIOCs(texts)
 	var v Verdict
 	for _, cl := range s.deny {
-		if ev, ok := cl.match(io, texts); ok {
+		if ev, ok := cl.match(&x.io, texts); ok {
 			v.addHit(Hit{Rule: cl.id, Kind: HitDeny, Severity: cl.severity, Evidence: ev})
 		}
 	}
@@ -137,26 +142,27 @@ func (s *Set) EvalText(ctx context.Context, raw string) Verdict {
 // Eval is the full rule pass, run in the pipeline after deobfuscation: IOC
 // lists over the raw and normalized views plus AST string literals, and
 // every signature, with path contexts extracted lazily only when a reached
-// path predicate needs them. Safe on nil (matches nothing).
+// path predicate needs them. Host/IP extraction runs only on the views and
+// literals that contain a list indicator (see ioc.go). Safe on nil (matches
+// nothing).
 func (s *Set) Eval(ctx context.Context, in Input) Verdict {
 	if s == nil {
 		return Verdict{}
 	}
-	texts := []string{in.Raw}
-	if in.Normalized != "" && in.Normalized != in.Raw {
-		texts = append(texts, in.Normalized)
+	texts := in.texts()
+	x := extractor{n: &s.iocNeedles}
+	for _, t := range texts {
+		x.add(t)
 	}
-	io := extractIOCs(texts)
-	if in.Prog != nil {
-		seen := seedSeen(io)
-		ast.Walk(in.Prog, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.Literal); ok && lit.Kind == ast.LiteralString {
-				io.extractInto(lit.StrVal, seen)
-			}
-			return true
-		})
+	if in.Prog != nil && !s.iocNeedles.empty() {
+		x.add(stringLiterals(in.Prog))
 	}
+	return s.verdict(ctx, in, texts, &x.io)
+}
 
+// verdict runs the lists over the extracted IOCs and every signature, and
+// combines their hits under the fixed precedence.
+func (s *Set) verdict(ctx context.Context, in Input, texts []string, io *iocSet) Verdict {
 	var deny, allow, sig []Hit
 	for _, cl := range s.deny {
 		if ev, ok := cl.match(io, texts); ok {
@@ -168,7 +174,7 @@ func (s *Set) Eval(ctx context.Context, in Input) Verdict {
 			allow = append(allow, Hit{Rule: cl.id, Kind: HitAllow, Severity: cl.severity, Evidence: ev})
 		}
 	}
-	ec := &evalCtx{texts: texts, prog: in.Prog}
+	ec := &evalCtx{texts: texts, prog: in.Prog, extract: in.Paths}
 	forcing := false
 	for _, cs := range s.sigs {
 		if ctx.Err() != nil {
@@ -231,34 +237,16 @@ func (s *Set) record(ctx context.Context, v *Verdict, outcome string) {
 	}
 }
 
-// extractIOCs builds the IOC token set for a script's text views.
-func extractIOCs(texts []string) *iocSet {
-	io := &iocSet{}
-	seen := map[string]bool{}
-	for _, t := range texts {
-		io.extractInto(t, seen)
-	}
-	return io
-}
-
-// seedSeen rebuilds the dedup map for an existing iocSet so literal-walk
-// extraction can continue where text extraction stopped.
-func seedSeen(io *iocSet) map[string]bool {
-	seen := make(map[string]bool, len(io.hosts)+len(io.ips))
-	for _, h := range io.hosts {
-		seen["h:"+h] = true
-	}
-	for _, ip := range io.ips {
-		seen["i:"+ip] = true
-	}
-	return seen
-}
+// PathOptions are the path-extraction options path predicates match
+// against.
+func PathOptions() pathctx.Options { return pathctx.DefaultOptions() }
 
 // evalCtx carries one script's views through a signature match tree, with
 // path contexts extracted at most once and only on first use.
 type evalCtx struct {
-	texts []string
-	prog  *ast.Program
+	texts   []string
+	prog    *ast.Program
+	extract func() []pathctx.Path // Input.Paths, or nil
 
 	paths     []pathctx.Path
 	pathsDone bool
@@ -316,8 +304,11 @@ func (ec *evalCtx) eval(m *compiledMatch) (string, bool) {
 func (ec *evalCtx) evalPath(p *PathPred) (string, bool) {
 	if !ec.pathsDone {
 		ec.pathsDone = true
-		if ec.prog != nil {
-			ec.paths = pathctx.Extract(ec.prog, pathctx.DefaultOptions())
+		switch {
+		case ec.extract != nil:
+			ec.paths = ec.extract()
+		case ec.prog != nil:
+			ec.paths = pathctx.Extract(ec.prog, PathOptions())
 		}
 	}
 	min := p.MinCount

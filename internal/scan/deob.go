@@ -7,7 +7,6 @@ package scan
 import (
 	"context"
 
-	"jsrevealer/internal/js/parser"
 	"jsrevealer/internal/obs"
 )
 
@@ -43,8 +42,7 @@ func (e *Engine) deobOn(ctx context.Context) bool {
 func (e *Engine) normalizeSource(ctx context.Context, src string) (string, []string) {
 	ctx, sp := obs.StartSpan(ctx, "scan.deob")
 	defer sp.End()
-	lim := parser.Limits{MaxDepth: e.cfg.MaxDepth, MaxTokens: e.cfg.MaxTokens}
-	out, rep, err := e.deob.Normalize(ctx, src, lim)
+	out, rep, err := e.deob.Normalize(ctx, src, e.limits())
 	if err != nil || rep == nil {
 		return src, nil
 	}

@@ -13,6 +13,8 @@ import (
 	"jsrevealer/internal/js/parser"
 	"jsrevealer/internal/obfuscate"
 	"jsrevealer/internal/obs"
+	"jsrevealer/internal/pathctx"
+	"jsrevealer/internal/rules"
 )
 
 func deobOnCfg() deobfuscate.Config {
@@ -324,8 +326,12 @@ func TestWithDeobfuscateOverride(t *testing.T) {
 
 // BenchmarkScanObfuscated measures the end-to-end scan cost of obfuscated
 // input with the deobfuscation stage off and on — the price of the
-// robustness the lift table buys. Cache disabled so every iteration pays
-// the full pipeline.
+// robustness the lift table buys — and with deobfuscation plus the load
+// benchmark's rule set (benchRuleFiles). That leg reads the model through
+// the default path options, as the load benchmark's CLI-trained fixture
+// does, so the rule set's path predicate shares both the parse and the
+// path contexts with the model. Cache disabled so every iteration pays the
+// full pipeline.
 func BenchmarkScanObfuscated(b *testing.B) {
 	det, samples := trainedDetector(b)
 	var mal string
@@ -335,6 +341,8 @@ func BenchmarkScanObfuscated(b *testing.B) {
 			break
 		}
 	}
+	defaultPaths := withPathOptions(b, det, pathctx.DefaultOptions())[0]
+	benchSet := testRules(b, benchRuleFiles...)
 	reg := obfuscate.Registry(7)
 	for _, name := range obfuscate.PaperOrder() {
 		osrc, err := reg[name].Obfuscate(mal)
@@ -343,12 +351,15 @@ func BenchmarkScanObfuscated(b *testing.B) {
 		}
 		for _, mode := range []struct {
 			label string
+			det   *core.Detector
 			cfg   deobfuscate.Config
+			rules rules.Provider
 		}{
-			{"deob=off", deobfuscate.Config{}},
-			{"deob=on", deobOnCfg()},
+			{"deob=off", det, deobfuscate.Config{}, nil},
+			{"deob=on", det, deobOnCfg(), nil},
+			{"deob=on,rules=on", defaultPaths, deobOnCfg(), benchSet},
 		} {
-			eng := New(det, Config{CacheSize: -1, Deobfuscate: mode.cfg})
+			eng := New(mode.det, Config{CacheSize: -1, Deobfuscate: mode.cfg, Rules: mode.rules})
 			ctx := obs.WithRegistry(context.Background(), obs.NewRegistry())
 			b.Run(name+"/"+mode.label, func(b *testing.B) {
 				b.SetBytes(int64(len(osrc)))

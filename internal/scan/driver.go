@@ -225,19 +225,24 @@ func (e *Engine) prepareSource(ctx context.Context, ins *instruments, dedup *bat
 		// source; caching, auditing, and degradation keep using src.
 		csrc, res.DeobPasses = e.normalizeSource(pctx, src)
 	}
+	var sh *sharedParse
 	if prov.rset != nil {
 		// Full rules pass, post-deobfuscation: signatures and lists see the
 		// raw bytes, the normalized source, and (when a rule needs it) the
-		// AST. A forcing hit or allow-list clear finalizes the script here
-		// and it never joins the batch; annotation hits ride along on the
-		// model's verdict.
-		rv := e.evalRules(pctx, prov.rset, name, src, csrc)
+		// AST. That AST is the classifier's own parse when it can prepare
+		// from one, so the script is parsed once for both. A forcing hit or
+		// allow-list clear finalizes the script here and it never joins the
+		// batch; annotation hits ride along on the model's verdict.
+		if pc, ok := e.bc.(ProgramClassifier); ok && prov.rset.NeedsAST() {
+			sh = e.parseShared(pctx, pc, csrc)
+		}
+		rv := e.evalRules(pctx, prov.rset, sh, name, src, csrc)
 		res.RuleHits = rv.Hits
 		if rv.Action != rules.ActionNone {
 			return e.settle(res, key, TierRules, rv.Action == rules.ActionMalicious), prov, nil
 		}
 	}
-	prepared, err := e.prepare(pctx, csrc)
+	prepared, err := e.prepare(pctx, csrc, sh)
 	if err != nil {
 		e.degrade(fctx, &res, src, err)
 		return res, prov, nil
@@ -248,14 +253,37 @@ func (e *Engine) prepareSource(ctx context.Context, ins *instruments, dedup *bat
 	}
 }
 
-// prepare runs the classifier's front half in an isolated goroutine: panics
-// become ErrInternal, and the select enforces the deadline even against a
-// classifier that ignores ctx (the cooperative parser cancellation bounds
-// how long such a goroutine can linger).
-func (e *Engine) prepare(ctx context.Context, src string) (any, error) {
+// prepare runs the classifier's front half, isolated: from the shared
+// parse when there is one, from src otherwise. The shared path checks the
+// deadline first, as PrepareBatch's parse would, so a script whose time ran
+// out during the rules pass degrades with ErrTimeout either way; its
+// "detect" span covers the model's part of the front half (the parse
+// already happened, under the script's span).
+func (e *Engine) prepare(ctx context.Context, src string, sh *sharedParse) (any, error) {
+	if sh == nil {
+		return e.isolated(ctx, func() (any, error) { return e.bc.PrepareBatch(ctx, src, e.limits()) })
+	}
+	if sh.err != nil {
+		return nil, sh.err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, classifyError(err, ctx)
+	}
+	return e.isolated(ctx, func() (any, error) {
+		ctx, sp := obs.StartSpan(ctx, "detect")
+		defer sp.End()
+		return sh.pc.PreparePaths(sh.modelPaths(ctx)), nil
+	})
+}
+
+// isolated runs one classifier step in its own goroutine: panics
+// become ErrInternal, errors map onto the taxonomy, and the select enforces
+// the deadline even against a step that ignores ctx (the cooperative parser
+// cancellation bounds how long such a goroutine can linger).
+func (e *Engine) isolated(ctx context.Context, step func() (any, error)) (any, error) {
 	type outcome struct {
-		prepared any
-		err      error
+		v   any
+		err error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
@@ -264,16 +292,20 @@ func (e *Engine) prepare(ctx context.Context, src string) (any, error) {
 				ch <- outcome{err: fmt.Errorf("%w: panic: %v", ErrInternal, r)}
 			}
 		}()
-		lim := parser.Limits{MaxDepth: e.cfg.MaxDepth, MaxTokens: e.cfg.MaxTokens}
-		p, err := e.bc.PrepareBatch(ctx, src, lim)
-		ch <- outcome{prepared: p, err: classifyError(err, ctx)}
+		v, err := step()
+		ch <- outcome{v: v, err: classifyError(err, ctx)}
 	}()
 	select {
 	case o := <-ch:
-		return o.prepared, o.err
+		return o.v, o.err
 	case <-ctx.Done():
 		return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
 	}
+}
+
+// limits are the engine's parser limits; the classifier adds ctx's cancel.
+func (e *Engine) limits() parser.Limits {
+	return parser.Limits{MaxDepth: e.cfg.MaxDepth, MaxTokens: e.cfg.MaxTokens}
 }
 
 // classifyBatch runs the classifier's batched back half with panic
@@ -284,30 +316,16 @@ func (e *Engine) prepare(ctx context.Context, src string) (any, error) {
 func (e *Engine) classifyBatch(ctx context.Context, prepared []any) ([]bool, error) {
 	ctx, cancel := context.WithTimeout(ctx, e.cfg.Timeout)
 	defer cancel()
-	type outcome struct {
-		verdicts []bool
-		err      error
+	v, err := e.isolated(ctx, func() (any, error) { return e.bc.ClassifyBatch(ctx, prepared) })
+	if err != nil {
+		return nil, err
 	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{err: fmt.Errorf("%w: panic: %v", ErrInternal, r)}
-			}
-		}()
-		v, err := e.bc.ClassifyBatch(ctx, prepared)
-		ch <- outcome{verdicts: v, err: classifyError(err, ctx)}
-	}()
-	select {
-	case o := <-ch:
-		if o.err == nil && len(o.verdicts) != len(prepared) {
-			return nil, fmt.Errorf("%w: batch returned %d verdicts for %d scripts",
-				ErrInternal, len(o.verdicts), len(prepared))
-		}
-		return o.verdicts, o.err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
+	verdicts, _ := v.([]bool)
+	if len(verdicts) != len(prepared) {
+		return nil, fmt.Errorf("%w: batch returned %d verdicts for %d scripts",
+			ErrInternal, len(verdicts), len(prepared))
 	}
+	return verdicts, nil
 }
 
 // finishPending is phase 2: one batched classification over every pending

@@ -9,6 +9,7 @@ package scan
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,15 +23,19 @@ import (
 	"jsrevealer/internal/rules"
 )
 
-// testRules compiles one in-memory rule file and pins it at generation 1,
-// the way a Holder would.
-func testRules(t testing.TB, src string) rules.Provider {
+// testRules compiles in-memory rule files into one set and pins it at
+// generation 1, the way a Holder would.
+func testRules(t testing.TB, srcs ...string) rules.Provider {
 	t.Helper()
-	f, err := rules.Parse("test.json", []byte(src))
-	if err != nil {
-		t.Fatal(err)
+	var files []*rules.File
+	for i, src := range srcs {
+		f, err := rules.Parse(fmt.Sprintf("test%d.json", i), []byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
 	}
-	set, err := rules.Compile([]*rules.File{f})
+	set, err := rules.Compile(files)
 	if err != nil {
 		t.Fatal(err)
 	}

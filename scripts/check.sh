@@ -76,7 +76,11 @@ go test -race ./internal/rules/... ./internal/alert/...
 # ready-file is removed on graceful shutdown.
 echo "==> jsrevealer serve smoke test"
 tmpdir=$(mktemp -d)
-trap 'kill $serve_pid 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
+# serve_pid is set before the trap so an early failure (under set -u) still
+# runs a clean trap; the trap waits for the server, which drains for up to
+# 5 s after SIGTERM, so no serve process outlives the script.
+serve_pid=
+trap 'if [ -n "$serve_pid" ]; then kill "$serve_pid" 2>/dev/null || true; wait "$serve_pid" 2>/dev/null || true; fi; rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/jsrevealer" ./cmd/jsrevealer
 "$tmpdir/jsrevealer" train -benign 25 -malicious 25 -seed 7 \
     -model "$tmpdir/model.json" >/dev/null
@@ -303,6 +307,7 @@ grep -q '^jsrevealer_rules_alert_total' "$tmpdir/metrics" || {
 # stale address.
 kill $serve_pid
 wait $serve_pid 2>/dev/null || true
+serve_pid=
 [ ! -e "$tmpdir/addr" ] || {
     echo "ready-file leaked after shutdown" >&2; exit 1; }
 
@@ -332,6 +337,7 @@ done
 
 kill -9 $serve_pid
 wait $serve_pid 2>/dev/null || true
+serve_pid=
 rm -f "$tmpdir/addr2" # a SIGKILLed process never cleans up its ready-file
 
 "$tmpdir/jsrevealer" serve -addr 127.0.0.1:0 -model "$tmpdir/model.json" \
@@ -363,6 +369,7 @@ grep -q '^jsrevealer_queue_recovered_total' "$tmpdir/metrics2" || {
     echo "/metrics missing durable queue recovery counter" >&2; exit 1; }
 kill $serve_pid
 wait $serve_pid 2>/dev/null || true
+serve_pid=
 
 # Flag-docs drift gate: every flag the serve and deob subcommands actually
 # register must be mentioned (as `-flagname`) somewhere in README.md, so
