@@ -6,7 +6,7 @@ build:
 test:
 	go test ./...
 
-# The full verification gate: go vet, the doc-coverage gate
+# The full verification gate: go vet, a gofmt gate, the doc-coverage gate
 # (scripts/doccheck.sh — no undocumented exports in core/scan/serve/par),
 # a clean build, the full test suite, a race-detector pass, and a
 # `jsrevealer serve` smoke test against /healthz and /metrics (see

@@ -50,16 +50,15 @@ func runServe(args []string) error {
 	maxQueue := fs.Int("max-queue", serve.DefaultMaxQueue, "admission waiting room; beyond it requests fast-fail 429 (negative = none)")
 	rate := fs.Float64("rate", 0, "per-client requests/second token-bucket rate; 0 disables rate limiting")
 	burst := fs.Int("burst", 0, "rate-limit burst; 0 = max(1, -rate)")
-	maxJobs := fs.Int("max-jobs", serve.DefaultMaxJobs, "async job store capacity")
+	maxJobs := fs.Int("max-jobs", serve.DefaultMaxJobs, "async job backlog: unfinished jobs beyond which POST /jobs answers 429")
 	jobWorkers := fs.Int("job-workers", serve.DefaultJobWorkers, "async job worker count")
 	jobTTL := fs.Duration("job-ttl", serve.DefaultJobTTL, "how long finished jobs stay pollable")
 	drainTimeout := fs.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful shutdown budget: finish in-flight work before exiting")
 
-	// Durable job-queue knobs.
+	// Job-queue knobs.
 	queueDir := fs.String("queue-dir", "", "durable job queue directory; jobs survive crashes and restarts (empty = in-memory jobs)")
-	queueWatermark := fs.Int("queue-watermark", serve.DefaultQueueWatermark, "durable backlog beyond which admission answers 429")
-	queueLease := fs.Duration("queue-lease", serve.DefaultQueueLease, "durable delivery lease; a worker missing heartbeats this long loses the job")
-	queueAttempts := fs.Int("queue-attempts", 0, "delivery attempts before a durable job dead-letters; 0 = queue default")
+	queueLease := fs.Duration("queue-lease", serve.DefaultQueueLease, "job delivery lease; a worker missing heartbeats this long loses the job")
+	queueAttempts := fs.Int("queue-attempts", 0, "delivery attempts before a job fails (dead-letters); 0 = queue default")
 
 	// Tracing and audit knobs.
 	traceBuffer := fs.Int("trace-buffer", 0, "traces retained for /debug/traces; 0 = default, negative disables")
@@ -96,7 +95,6 @@ func runServe(args []string) error {
 		JobTTL:           *jobTTL,
 		DrainTimeout:     *drainTimeout,
 		QueueDir:         *queueDir,
-		QueueWatermark:   *queueWatermark,
 		QueueLease:       *queueLease,
 		QueueMaxAttempts: *queueAttempts,
 		TraceBuffer:      *traceBuffer,

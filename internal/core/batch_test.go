@@ -8,8 +8,8 @@ import (
 )
 
 // TestBatchMatchesPerScript pins the batched API's contract: for every test
-// script, PrepareBatch + ClassifyBatch produces exactly the verdict
-// DetectWithLimits produces.
+// script, one PrepareBatch + ClassifyBatch over the whole set produces
+// exactly the verdict Detect (a batch of one) produces.
 func TestBatchMatchesPerScript(t *testing.T) {
 	det, test := trainSmall(t, 50, 3)
 	ctx := context.Background()
@@ -32,9 +32,9 @@ func TestBatchMatchesPerScript(t *testing.T) {
 		t.Fatalf("got %d verdicts for %d prepared", len(verdicts), len(prepared))
 	}
 	for bi, ti := range kept {
-		want, err := det.DetectWithLimits(ctx, test[ti].Source, parser.Limits{})
+		want, err := det.DetectCtx(ctx, test[ti].Source)
 		if err != nil {
-			t.Fatalf("DetectWithLimits %d: %v", ti, err)
+			t.Fatalf("DetectCtx %d: %v", ti, err)
 		}
 		if verdicts[bi] != want {
 			t.Errorf("script %d: batch=%v per-script=%v", ti, verdicts[bi], want)
@@ -46,7 +46,7 @@ func TestBatchErrors(t *testing.T) {
 	det, test := trainSmall(t, 40, 4)
 	ctx := context.Background()
 
-	// Unparseable input fails at prepare, like DetectWithLimits.
+	// Unparseable input fails at prepare.
 	if _, err := det.PrepareBatch(ctx, "function ((", parser.Limits{}); err == nil {
 		t.Error("PrepareBatch accepted unparseable input")
 	}

@@ -89,10 +89,10 @@ type checkpointJSON struct {
 
 	// StageEmbedded payload (plus StagePrepared, where Pools are the
 	// outlier-filtered ones and OutlierName records the selection).
-	Model       *nn.Model       `json:"model,omitempty"`
-	Embs        []embeddedJSON  `json:"embs,omitempty"`
-	Pools       *[2]pooledJSON  `json:"pools,omitempty"`
-	OutlierName string          `json:"outlierDetector,omitempty"`
+	Model       *nn.Model      `json:"model,omitempty"`
+	Embs        []embeddedJSON `json:"embs,omitempty"`
+	Pools       *[2]pooledJSON `json:"pools,omitempty"`
+	OutlierName string         `json:"outlierDetector,omitempty"`
 }
 
 // encodeCheckpoint renders cj as gzip-compressed JSON. Embedding vectors

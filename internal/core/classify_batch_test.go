@@ -41,7 +41,7 @@ func referenceSources(t *testing.T, test []corpus.Sample, seed int64) []string {
 // TestClassifyBatchMatchesReference pins ClassifyBatch's per-unique-path
 // kernel to the reference pipeline: every script's feature vector equals
 // featurize(Embed(keys)) bit for bit, and every verdict equals
-// DetectWithLimits, for two corpus seeds × the paper's four obfuscators ×
+// Predict(featurize(Embed(keys))), for two corpus seeds × the paper's four obfuscators ×
 // deobfuscation off/on, in batches of 1 and 16, with attention and with
 // uniform weights.
 func TestClassifyBatchMatchesReference(t *testing.T) {
@@ -101,12 +101,8 @@ func checkBatch(t *testing.T, det *Detector, srcs []string, prepared []any) {
 					head(srcs[i]), det.opts.UniformWeights, len(prepared), j, got[j], want[j])
 			}
 		}
-		ref, err := det.DetectWithLimits(ctx, srcs[i], parser.Limits{})
-		if err != nil {
-			t.Fatalf("DetectWithLimits: %v", err)
-		}
-		if verdicts[i] != ref {
-			t.Errorf("script %q: ClassifyBatch %v, DetectWithLimits %v", head(srcs[i]), verdicts[i], ref)
+		if ref := det.classifier.Predict(want); verdicts[i] != ref {
+			t.Errorf("script %q: ClassifyBatch %v, reference %v", head(srcs[i]), verdicts[i], ref)
 		}
 	}
 }

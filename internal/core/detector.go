@@ -168,13 +168,6 @@ func (d *Detector) Timings() StageTimings { return d.account().view() }
 // ErrNotTrained is returned by Detect on an untrained detector.
 var ErrNotTrained = errors.New("core: detector not trained")
 
-// extracted is a parsed script reduced to embeddings.
-type extracted struct {
-	paths     []pathctx.Path
-	keys      []nn.PathKey
-	malicious bool
-}
-
 // embedded is one training script reduced to its path embeddings.
 type embedded struct {
 	embs      []nn.Embedding
@@ -308,12 +301,12 @@ func (d *Detector) Name() string { return "JSRevealer" }
 
 // extract parses a script under the given limits and extracts its path
 // contexts: parse followed by ExtractPaths.
-func (d *Detector) extract(ctx context.Context, src string, lim parser.Limits) (extracted, error) {
+func (d *Detector) extract(ctx context.Context, src string, lim parser.Limits) ([]pathctx.Path, error) {
 	prog, err := d.parse(ctx, src, lim)
 	if err != nil {
-		return extracted{}, err
+		return nil, err
 	}
-	return extracted{paths: d.ExtractPaths(ctx, prog)}, nil
+	return d.ExtractPaths(ctx, prog), nil
 }
 
 // parse lexes and parses a script under the given limits, attributing lex
@@ -397,44 +390,26 @@ func (d *Detector) centroids() [][]float64 {
 
 // Detect classifies a script; true means malicious.
 func (d *Detector) Detect(src string) (bool, error) {
-	return d.DetectWithLimits(context.Background(), src, parser.Limits{})
+	return d.DetectCtx(context.Background(), src)
 }
 
 // DetectCtx classifies a script honouring the context's deadline and
 // cancellation (checked cooperatively between and inside pipeline stages).
-// It is safe to call from many goroutines concurrently.
+// It is a batch of one — PrepareBatch then ClassifyBatch — so single-script
+// and batched detection share one inference path. Unparseable input is
+// suspicious, but the paper's pipeline cannot featurize it; the parse
+// error is returned to the caller. It is safe to call from many goroutines
+// concurrently.
 func (d *Detector) DetectCtx(ctx context.Context, src string) (bool, error) {
-	return d.DetectWithLimits(ctx, src, parser.Limits{})
-}
-
-// DetectWithLimits classifies a script under explicit parser resource
-// limits. When lim.Cancel is nil the context's Done channel is used, so a
-// deadline on ctx aborts even a parse of pathological input promptly.
-func (d *Detector) DetectWithLimits(ctx context.Context, src string, lim parser.Limits) (bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, sp := obs.StartSpan(ctx, "detect")
-	defer sp.End()
-	// Unparseable input is suspicious but the paper's pipeline simply
-	// cannot featurize it; surface the error to the caller.
-	prog, err := d.ParseProgram(ctx, src, lim)
+	p, err := d.PrepareBatch(ctx, src, parser.Limits{})
 	if err != nil {
 		return false, err
 	}
-	paths := d.ExtractPaths(ctx, prog)
-	if err := ctx.Err(); err != nil {
+	verdicts, err := d.ClassifyBatch(ctx, []any{p})
+	if err != nil {
 		return false, err
 	}
-	_, esp := obs.StartSpan(ctx, "embed")
-	embs := d.model.Embed(d.keysOf(paths))
-	d.record(ctx, stgEmbed, esp.End())
-
-	_, csp := obs.StartSpan(ctx, "classify")
-	feat := d.featurize(embs)
-	verdict := d.classifier.Predict(feat)
-	d.record(ctx, stgClassify, csp.End())
-	return verdict, nil
+	return verdicts[0], nil
 }
 
 // PreparedScript is the front half of one script's detection — parsed,
@@ -446,12 +421,13 @@ type PreparedScript struct {
 }
 
 // PrepareBatch runs the per-script front half of the pipeline (parse, path
-// extraction, vocabulary lookup) under the same limits and cancellation
-// semantics as DetectWithLimits and returns the prepared state for a later
-// ClassifyBatch. Splitting detection this way lets a scanner parse scripts
-// concurrently, then share the model's per-path work across the whole
-// batch; the PrepareBatch + ClassifyBatch sequence is verdict-identical to
-// calling DetectWithLimits per script (TestClassifyBatchMatchesReference).
+// extraction, vocabulary lookup) under explicit parser resource limits and
+// returns the prepared state for a later ClassifyBatch. When lim.Cancel is
+// nil the context's Done channel is used, so a deadline on ctx aborts even
+// a parse of pathological input promptly. Splitting detection this way
+// lets a scanner parse scripts concurrently, then share the model's
+// per-path work across the whole batch; every verdict equals the reference
+// Predict(featurize(Embed(keys))) (TestClassifyBatchMatchesReference).
 // It is ParseProgram, ExtractPaths and PreparePaths in sequence, under one
 // "detect" span.
 func (d *Detector) PrepareBatch(ctx context.Context, src string, lim parser.Limits) (any, error) {
@@ -498,14 +474,17 @@ func (d *Detector) PreparePaths(paths []pathctx.Path) any {
 }
 
 // ClassifyBatch finishes a batch of prepared scripts in two phases without
-// materializing a single embedding vector. Phase 1 ("embed") computes each
-// distinct canonical path key of the whole batch once: its attention logit
-// and its nearest cluster feature. Phase 2 ("classify") runs, per script,
-// the softmax over its logits in path order, accrues each weight to its
-// path's cluster, normalizes and predicts. The result slice is parallel to
-// prepared, and every feature vector is bit-identical to featurize(Embed)
-// (TestClassifyBatchMatchesReference). Stage time accrues to ctx's span
-// tree once per batch rather than once per script.
+// materializing a script's embedding vectors. Phase 1 (the "embed" span)
+// computes each distinct canonical path key of the whole batch once: its
+// attention logit and its nearest cluster feature. Phase 2 (the "classify"
+// span) runs, per script, the softmax over its logits in path order,
+// accrues each weight to its path's cluster, normalizes and predicts. The
+// result slice is parallel to prepared, and every feature vector is
+// bit-identical to featurize(Embed) (TestClassifyBatchMatchesReference).
+// Stage time accrues to ctx's span tree once per batch rather than once per
+// script. Stage accounting (Timings and the stage histogram) books the
+// nearest-cluster assignment under classify, where the paper's Table VIII
+// puts feature generation, although the embed span covers it.
 func (d *Detector) ClassifyBatch(ctx context.Context, prepared []any) ([]bool, error) {
 	if d.classifier == nil {
 		return nil, ErrNotTrained
@@ -526,7 +505,8 @@ func (d *Detector) ClassifyBatch(ctx context.Context, prepared []any) ([]bool, e
 	}
 	_, esp := obs.StartSpan(ctx, "embed")
 	pt := d.newPathTable(keySets)
-	d.record(ctx, stgEmbed, esp.End())
+	esp.End()
+	d.record(ctx, stgEmbed, pt.embedTime)
 
 	_, csp := obs.StartSpan(ctx, "classify")
 	out := make([]bool, len(prepared))
@@ -536,7 +516,7 @@ func (d *Detector) ClassifyBatch(ctx context.Context, prepared []any) ([]bool, e
 		}
 		out[i] = d.classifier.Predict(pt.features(i))
 	}
-	d.record(ctx, stgClassify, csp.End())
+	d.record(ctx, stgClassify, pt.assignTime+csp.End())
 	return out, nil
 }
 
@@ -550,7 +530,15 @@ type pathTable struct {
 	cluster []int
 	// scripts[i] lists script i's paths, in order, as distinct-key indexes.
 	scripts [][]int32
+	// embedTime and assignTime split phase 1's time between the logits
+	// (with key lookup) and the cluster assignment.
+	embedTime, assignTime time.Duration
 }
+
+// assignChunk is how many distinct paths' embeddings phase 1 holds before
+// assigning them to clusters: enough that the clock reads splitting its
+// time cost nothing, few enough that the scratch stays small.
+const assignChunk = 16
 
 // newPathTable runs phase 1 over every path of the batch.
 func (d *Detector) newPathTable(keySets [][]nn.PathKey) *pathTable {
@@ -566,8 +554,21 @@ func (d *Detector) newPathTable(keySets [][]nn.PathKey) *pathTable {
 	}
 	refs := make([]int32, total)
 	dim := d.model.Config().Dim
-	pre, v := make([]float64, dim), make([]float64, dim)
+	chunk := min(assignChunk, total)
+	pre, vs := make([]float64, dim), make([]float64, chunk*dim)
+	held := 0 // embeddings in vs awaiting assignment
 	centroids := d.centroids()
+	mark := time.Now()
+	assign := func() {
+		now := time.Now()
+		pt.embedTime += now.Sub(mark)
+		for c := 0; c < held; c++ {
+			pt.cluster = append(pt.cluster, cluster.Assign(centroids, vs[c*dim:(c+1)*dim]))
+		}
+		held = 0
+		mark = time.Now()
+		pt.assignTime += mark.Sub(now)
+	}
 	index := make(map[nn.PathKey]int32, total)
 	for i, keys := range keySets {
 		pt.scripts[i], refs = refs[:len(keys):len(keys)], refs[len(keys):]
@@ -577,12 +578,15 @@ func (d *Detector) newPathTable(keySets [][]nn.PathKey) *pathTable {
 			if !seen {
 				u = int32(len(pt.logit))
 				index[ck] = u
-				pt.logit = append(pt.logit, d.model.PathLogit(ck, pre, v))
-				pt.cluster = append(pt.cluster, cluster.Assign(centroids, v))
+				pt.logit = append(pt.logit, d.model.PathLogit(ck, pre, vs[held*dim:(held+1)*dim]))
+				if held++; held == chunk {
+					assign()
+				}
 			}
 			pt.scripts[i][j] = u
 		}
 	}
+	assign()
 	return pt
 }
 
@@ -615,16 +619,6 @@ func (pt *pathTable) features(i int) []float64 {
 		}
 	}
 	return linalg.MinMaxNormalize(v)
-}
-
-// DetectProgram classifies an already-parsed program (used by benchmarks to
-// separate parsing cost from pipeline cost).
-func (d *Detector) DetectProgram(prog *ast.Program) (bool, error) {
-	if d.classifier == nil {
-		return false, ErrNotTrained
-	}
-	embs := d.model.Embed(d.keysOf(pathctx.Extract(prog, d.opts.Path)))
-	return d.classifier.Predict(d.featurize(embs)), nil
 }
 
 // Features returns the learned cluster features.

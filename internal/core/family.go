@@ -8,7 +8,6 @@ import (
 
 	"jsrevealer/internal/js/parser"
 	"jsrevealer/internal/ml/classify"
-	"jsrevealer/internal/ml/nn"
 )
 
 // FamilySample is a labelled script for family classification: the sample's
@@ -112,13 +111,9 @@ func (fc *FamilyClassifier) Classify(src string) (string, []float64, error) {
 // featurizeSource runs the extraction + embedding + cluster-feature stages
 // on one script and returns the feature vector.
 func (d *Detector) featurizeSource(src string) ([]float64, error) {
-	ex, err := d.extract(context.Background(), src, parser.Limits{})
+	paths, err := d.extract(context.Background(), src, parser.Limits{})
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]nn.PathKey, len(ex.paths))
-	for i, p := range ex.paths {
-		keys[i] = d.model.KeyOf(p.ComponentHashes())
-	}
-	return d.featurize(d.model.Embed(keys)), nil
+	return d.featurize(d.model.Embed(d.keysOf(paths))), nil
 }

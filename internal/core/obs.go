@@ -18,7 +18,7 @@ const stageDurationHelp = "Pipeline stage durations in seconds, per call."
 
 // Per-detector accounting metrics (private registry; see stageAccount).
 const (
-	stageNanosMetric    = "jsrevealer_detector_stage_nanos_total"
+	stageNanosMetric     = "jsrevealer_detector_stage_nanos_total"
 	filesProcessedMetric = "jsrevealer_detector_files_processed_total"
 )
 

@@ -207,16 +207,16 @@ func (st *prepState) extractOne(ctx context.Context, s Sample, wantDescs bool) (
 			sk, ok = scriptKeys{}, false
 		}
 	}()
-	ex, err := st.d.extract(ctx, s.Source, parser.Limits{})
+	paths, err := st.d.extract(ctx, s.Source, parser.Limits{})
 	if err != nil {
 		return scriptKeys{}, false
 	}
 	sk.Malicious = s.Malicious
-	sk.Keys = make([]nn.PathKey, len(ex.paths))
+	sk.Keys = make([]nn.PathKey, len(paths))
 	if wantDescs {
-		sk.Descs = make([]string, len(ex.paths))
+		sk.Descs = make([]string, len(paths))
 	}
-	for i, p := range ex.paths {
+	for i, p := range paths {
 		sk.Keys[i] = st.model.KeyOf(p.ComponentHashes())
 		if wantDescs {
 			sk.Descs[i] = p.String()

@@ -90,7 +90,7 @@ func TestDetect10MBFile(t *testing.T) {
 	src := sb.String()
 
 	// Guarded: the token cap turns the oversized input into a fast error.
-	_, err := det.DetectWithLimits(context.Background(), src, parser.Limits{MaxTokens: 100_000})
+	_, err := det.PrepareBatch(context.Background(), src, parser.Limits{MaxTokens: 100_000})
 	if !errors.Is(err, lexer.ErrTooManyTokens) {
 		t.Fatalf("want ErrTooManyTokens, got %v", err)
 	}

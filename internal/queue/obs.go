@@ -2,15 +2,15 @@ package queue
 
 import "jsrevealer/internal/obs"
 
-// Metric families emitted by the durable queue, exposed on the same
+// Metric families emitted by the job queue, exposed on the same
 // registry (and therefore the same /metrics surface) as the scan engine
 // and serving subsystem.
 const (
-	// DepthMetric gauges the durable backlog: jobs pending (eligible or
-	// in backoff) plus leased — the watermark signal admission control
-	// turns into 429s.
+	// DepthMetric gauges the job backlog: jobs pending (eligible or in
+	// backoff) plus leased — the bound serve's job submission turns into
+	// 429s.
 	DepthMetric = "jsrevealer_queue_depth"
-	// EnqueuedMetric counts jobs accepted onto the WAL.
+	// EnqueuedMetric counts jobs accepted onto the queue.
 	EnqueuedMetric = "jsrevealer_queue_enqueued_total"
 	// RetriesMetric counts deliveries rescheduled after a failure or an
 	// interrupted run (Nack, lease expiry, crash recovery).
@@ -46,9 +46,9 @@ type metrics struct {
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
 		depth: reg.Gauge(DepthMetric,
-			"Durable jobs not yet finished: pending, delayed, or leased.", nil),
+			"Queued jobs not yet finished: pending, delayed, or leased.", nil),
 		enqueued: reg.Counter(EnqueuedMetric,
-			"Jobs accepted onto the durable queue.", nil),
+			"Jobs accepted onto the job queue.", nil),
 		retries: reg.Counter(RetriesMetric,
 			"Deliveries rescheduled after a failure or interruption.", nil),
 		leaseExpired: reg.Counter(LeaseExpiredMetric,

@@ -1,6 +1,7 @@
-// Package queue is a file-backed, crash-safe durable job queue: the
-// persistence layer that lets the serve subsystem survive kill -9 without
-// losing accepted work or finished results.
+// Package queue is the serve subsystem's job queue: a file-backed,
+// crash-safe durable queue that survives kill -9 without losing accepted
+// work or finished results, or — opened with an empty directory — the same
+// lease state machine held in memory only.
 //
 // Design, in one paragraph: every state transition (enqueue, lease, lease
 // extension, ack, retry, dead-letter, removal) is appended to a write-ahead
@@ -10,7 +11,8 @@
 // job) so the log never grows without bound. Opening a queue replays the
 // segments in order, truncating torn or corrupt tails instead of failing —
 // a process killed mid-append recovers everything up to its last complete
-// record.
+// record. A memory-only queue skips the log entirely: every transition
+// takes effect in memory alone and nothing survives the process.
 //
 // Delivery semantics: jobs are delivered at-least-once under worker leases.
 // Next hands a worker the highest-priority eligible job together with a
@@ -72,6 +74,11 @@ var (
 	// ErrLeaseLost: the caller's lease token is stale — the lease expired
 	// and the job was reclaimed (and possibly re-leased elsewhere).
 	ErrLeaseLost = errors.New("queue: lease lost")
+	// ErrFull: EnqueueBounded found the unfinished-job bound reached.
+	ErrFull = errors.New("queue: backlog full")
+	// ErrTooLarge: the payload does not fit one WAL record. A memory-only
+	// queue has no records and takes payloads of any size.
+	ErrTooLarge = fmt.Errorf("queue: payload exceeds %d bytes", maxRecordBytes/2)
 )
 
 // Job is one queued unit of work. Payload and Result are opaque to the
@@ -104,6 +111,9 @@ type Job struct {
 	Result []byte
 	// LastErr is the most recent failure reason (retrying and dead jobs).
 	LastErr string
+	// StartedAt is when the latest delivery was leased; zero until the
+	// first lease.
+	StartedAt time.Time
 	// DoneAt is when the job reached done or dead.
 	DoneAt time.Time
 
@@ -192,11 +202,12 @@ func (o Options) withDefaults() Options {
 // hold, without growing forever.
 const tombstoneCap = 4096
 
-// Queue is a durable job queue over one directory. All methods are safe
-// for concurrent use. Open one Queue per directory per process; the WAL is
-// not a multi-process coordination protocol.
+// Queue is a job queue over one directory, or memory-only when the
+// directory is empty. All methods are safe for concurrent use. Open one
+// Queue per directory per process; the WAL is not a multi-process
+// coordination protocol.
 type Queue struct {
-	dir  string
+	dir  string // "" for a memory-only queue
 	opts Options
 	met  *metrics
 
@@ -204,8 +215,9 @@ type Queue struct {
 	jobs    map[string]*Job
 	ready   readyHeap
 	delayed delayHeap
-	seg     *segment
-	nextSeq uint64 // in-memory FIFO sequence
+	seg     *segment // nil for a memory-only queue
+	nextSeq uint64   // in-memory FIFO sequence
+	leased  int      // jobs in StateLeased, so Depth costs O(1)
 	closed  bool
 
 	// tombstones remember removed job ids (bounded FIFO) so callers can
@@ -221,35 +233,39 @@ type Queue struct {
 // Open opens (creating if needed) the durable queue in dir, replaying the
 // WAL: torn tails are truncated, leased jobs from a crashed process are
 // rescheduled (their interrupted delivery counts against the retry
-// budget), and expired results are dropped. The returned queue runs a
+// budget), and expired results are dropped. An empty dir opens a fresh
+// memory-only queue that touches no file. The returned queue runs a
 // reaper goroutine until Close.
 func Open(dir string, opts Options) (*Queue, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("queue: create dir: %w", err)
-	}
-	seqs, err := listSegments(dir)
-	if err != nil {
-		return nil, fmt.Errorf("queue: list segments: %w", err)
-	}
-	rep, err := replay(dir, seqs)
-	if err != nil {
-		return nil, err
-	}
 	q := &Queue{
 		dir:     dir,
 		opts:    opts,
 		met:     newMetrics(opts.Registry),
-		jobs:    rep.jobs,
+		jobs:    make(map[string]*Job),
 		gone:    make(map[string]struct{}),
 		notify:  make(chan struct{}, 1),
 		closeCh: make(chan struct{}),
 	}
-	q.seg, err = openSegment(dir, rep.nextSeq, !opts.NoSync)
-	if err != nil {
-		return nil, fmt.Errorf("queue: open segment: %w", err)
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("queue: create dir: %w", err)
+		}
+		seqs, err := listSegments(dir)
+		if err != nil {
+			return nil, fmt.Errorf("queue: list segments: %w", err)
+		}
+		rep, err := replay(dir, seqs)
+		if err != nil {
+			return nil, err
+		}
+		q.jobs = rep.jobs
+		q.seg, err = openSegment(dir, rep.nextSeq, !opts.NoSync)
+		if err != nil {
+			return nil, fmt.Errorf("queue: open segment: %w", err)
+		}
+		q.recover(rep)
 	}
-	q.recover(rep)
 	q.met.depth.Set(float64(q.depthLocked()))
 	q.wg.Add(1)
 	go q.reapLoop()
@@ -276,7 +292,9 @@ func (q *Queue) recover(rep *replayResult) {
 			// interrupted delivery against the budget — a job that crashes
 			// its worker every time must land in dead-letter, not
 			// crash-loop forever — and reschedule immediately: the backoff
-			// already happened (the process was down).
+			// already happened (the process was down). The replayed lease
+			// is counted first so failLocked can release it.
+			q.leased++
 			q.failLocked(j, now, "lease holder crashed", false)
 			if j.State != StateDead {
 				q.met.recovered.Inc()
@@ -293,7 +311,8 @@ func (q *Queue) recover(rep *replayResult) {
 }
 
 // Close stops the reaper and closes the WAL. Blocked Next callers return
-// ErrClosed. Pending and leased state stays on disk for the next Open.
+// ErrClosed. Pending and leased state stays on disk for the next Open (a
+// memory-only queue's dies with it).
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	if q.closed {
@@ -302,7 +321,10 @@ func (q *Queue) Close() error {
 	}
 	q.closed = true
 	close(q.closeCh)
-	err := q.seg.close()
+	var err error
+	if q.seg != nil {
+		err = q.seg.close()
+	}
 	q.mu.Unlock()
 	q.wg.Wait()
 	return err
@@ -334,11 +356,18 @@ func (q *Queue) Enqueue(id string, priority int, payload []byte) error {
 // by whichever worker eventually runs it — on this process or a restarted
 // one — join the original trace.
 func (q *Queue) EnqueueTrace(id string, priority int, payload []byte, trace string) error {
+	return q.EnqueueBounded(0, id, priority, payload, trace)
+}
+
+// EnqueueBounded is EnqueueTrace that refuses the job with ErrFull when max
+// > 0 and Depth() is already at max. The check and the insert happen under
+// one lock, so concurrent producers can never overshoot the bound.
+func (q *Queue) EnqueueBounded(max int, id string, priority int, payload []byte, trace string) error {
 	if id == "" {
 		return errors.New("queue: empty job id")
 	}
-	if len(payload) > maxRecordBytes/2 {
-		return fmt.Errorf("queue: payload exceeds %d bytes", maxRecordBytes/2)
+	if q.dir != "" && len(payload) > maxRecordBytes/2 {
+		return ErrTooLarge
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -347,6 +376,9 @@ func (q *Queue) EnqueueTrace(id string, priority int, payload []byte, trace stri
 	}
 	if _, ok := q.jobs[id]; ok {
 		return ErrExists
+	}
+	if max > 0 && q.depthLocked() >= max {
+		return ErrFull
 	}
 	now := q.opts.now()
 	if err := q.appendLocked(walEvent{
@@ -456,7 +488,9 @@ func (q *Queue) leaseLocked(j *Job, owner string, now time.Time) (*Lease, error)
 		return nil, err
 	}
 	j.State = StateLeased
+	q.leased++
 	j.Owner = owner
+	j.StartedAt = now
 	j.LeaseExpiry = expiry
 	j.token = newToken()
 	return &Lease{Job: j.snapshot(), Expiry: expiry, q: q, token: j.token}, nil
@@ -509,6 +543,7 @@ func (l *Lease) Ack(result []byte) error {
 		return err
 	}
 	j.State = StateDone
+	q.leased--
 	j.Result = result
 	// The work description is dead weight once the outcome is committed;
 	// dropping it keeps memory and compaction snapshots proportional to
@@ -553,12 +588,13 @@ func (q *Queue) heldLocked(l *Lease) (*Job, error) {
 	return j, nil
 }
 
-// failLocked applies one failed delivery to j: retry with backoff while
-// attempts remain, dead-letter otherwise. backoff=false reschedules
-// immediately (crash recovery — the downtime was the backoff).
+// failLocked applies one failed delivery to the leased job j: retry with
+// backoff while attempts remain, dead-letter otherwise. backoff=false
+// reschedules immediately (crash recovery — the downtime was the backoff).
 func (q *Queue) failLocked(j *Job, now time.Time, reason string, backoff bool) {
 	j.Attempt++
 	j.token = ""
+	q.leased--
 	if j.Attempt >= q.opts.MaxAttempts {
 		// Budget exhausted: dead-letter. WAL first, memory second.
 		q.appendLocked(walEvent{
@@ -610,7 +646,7 @@ func (q *Queue) Forgotten(id string) bool {
 }
 
 // Depth returns the number of jobs not yet finished (pending, delayed, or
-// leased) — the backlog signal admission control watches.
+// leased) — the backlog bound serve's job submission checks.
 func (q *Queue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -627,7 +663,8 @@ type Stats struct {
 	Done int
 	// Dead counts dead-lettered jobs still within the result TTL.
 	Dead int
-	// WALBytes is the current on-disk size of all segments.
+	// WALBytes is the current on-disk size of all segments (0 for a
+	// memory-only queue).
 	WALBytes int64
 }
 
@@ -648,19 +685,15 @@ func (q *Queue) Stats() Stats {
 			st.Dead++
 		}
 	}
-	st.WALBytes = totalSegmentBytes(q.dir)
+	if q.seg != nil {
+		st.WALBytes = totalSegmentBytes(q.dir)
+	}
 	return st
 }
 
 // depthLocked is pending + delayed + leased.
 func (q *Queue) depthLocked() int {
-	leased := 0
-	for _, j := range q.jobs {
-		if j.State == StateLeased {
-			leased++
-		}
-	}
-	return q.ready.Len() + q.delayed.Len() + leased
+	return q.ready.Len() + q.delayed.Len() + q.leased
 }
 
 // scheduleLocked indexes a pending job into the ready or delayed heap.
@@ -703,8 +736,11 @@ func (q *Queue) removeLocked(j *Job) {
 }
 
 // appendLocked writes one event to the active segment, rotating past the
-// size threshold.
+// size threshold. A memory-only queue has no segment and logs nothing.
 func (q *Queue) appendLocked(ev walEvent) error {
+	if q.seg == nil {
+		return nil
+	}
 	if err := q.seg.append(ev); err != nil {
 		return err
 	}

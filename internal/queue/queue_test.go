@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +34,13 @@ func openQ(t *testing.T, dir string, opts Options) *Queue {
 	return q
 }
 
+// eachMode runs a lifecycle test over both backing stores: a WAL directory
+// and a memory-only queue (dir "").
+func eachMode(t *testing.T, test func(t *testing.T, dir string)) {
+	t.Run("wal", func(t *testing.T) { test(t, t.TempDir()) })
+	t.Run("memory", func(t *testing.T) { test(t, "") })
+}
+
 func mustLease(t *testing.T, q *Queue, owner string) *Lease {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -45,7 +53,23 @@ func mustLease(t *testing.T, q *Queue, owner string) *Lease {
 }
 
 func TestEnqueueAckLifecycle(t *testing.T) {
-	q := openQ(t, t.TempDir(), fastOpts())
+	eachMode(t, testEnqueueAckLifecycle)
+}
+
+func testEnqueueAckLifecycle(t *testing.T, dir string) {
+	if dir == "" {
+		// A memory-only queue must not touch the filesystem at all; run it
+		// in an empty working directory and check that it stays empty.
+		wd, err := os.Getwd()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chdir(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { os.Chdir(wd) })
+	}
+	q := openQ(t, dir, fastOpts())
 	if err := q.Enqueue("j1", 0, []byte("work")); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +84,7 @@ func TestEnqueueAckLifecycle(t *testing.T) {
 	}
 
 	l := mustLease(t, q, "w1")
-	if l.Job.ID != "j1" || string(l.Job.Payload) != "work" || l.Job.State != StateLeased {
+	if l.Job.ID != "j1" || string(l.Job.Payload) != "work" || l.Job.State != StateLeased || l.Job.StartedAt.IsZero() {
 		t.Fatalf("lease = %+v", l.Job)
 	}
 	if j, _ := q.Get("j1"); j.State != StateLeased || j.Owner != "w1" {
@@ -78,6 +102,18 @@ func TestEnqueueAckLifecycle(t *testing.T) {
 	}
 	if _, err := q.Get("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown Get = %v, want ErrNotFound", err)
+	}
+	if dir == "" {
+		if err := q.Compact(); err != nil {
+			t.Errorf("memory-only Compact = %v", err)
+		}
+		if st := q.Stats(); st.WALBytes != 0 || st.Done != 1 {
+			t.Errorf("memory-only stats = %+v", st)
+		}
+		q.Close()
+		if ents, err := os.ReadDir("."); err != nil || len(ents) != 0 {
+			t.Errorf("memory-only queue left files behind: %v (err %v)", ents, err)
+		}
 	}
 }
 
@@ -107,6 +143,9 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	j, err := q2.Get(doneID)
 	if err != nil || j.State != StateDone || string(j.Result) != "result-bytes" {
 		t.Fatalf("done job after reopen = %+v err %v", j, err)
+	}
+	if !j.StartedAt.Equal(l.Job.StartedAt) {
+		t.Errorf("done job started_at after reopen = %v, want the lease time %v", j.StartedAt, l.Job.StartedAt)
 	}
 	// The in-flight job was reclaimed with its interrupted attempt counted.
 	j, err = q2.Get(inflight.Job.ID)
@@ -208,10 +247,14 @@ func TestPriorityAndFIFOOrder(t *testing.T) {
 }
 
 func TestNackRetriesThenDeadLetters(t *testing.T) {
+	eachMode(t, testNackRetriesThenDeadLetters)
+}
+
+func testNackRetriesThenDeadLetters(t *testing.T, dir string) {
 	opts := fastOpts()
 	opts.MaxAttempts = 3
 	reg := opts.Registry
-	q := openQ(t, t.TempDir(), opts)
+	q := openQ(t, dir, opts)
 	if err := q.Enqueue("poison", 0, []byte("bad")); err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +283,9 @@ func TestNackRetriesThenDeadLetters(t *testing.T) {
 	// Nothing left to lease.
 	if l, err := q.TryNext("w"); err != nil || l != nil {
 		t.Errorf("TryNext over a dead-only queue = %v, %v", l, err)
+	}
+	if dir == "" {
+		return // nothing to reopen
 	}
 	// The dead job survives a reopen in its dead state.
 	q.Close()
@@ -273,11 +319,15 @@ func TestNackBackoffDelaysRedelivery(t *testing.T) {
 }
 
 func TestLeaseExpiryReclaimedByReaper(t *testing.T) {
+	eachMode(t, testLeaseExpiryReclaimedByReaper)
+}
+
+func testLeaseExpiryReclaimedByReaper(t *testing.T, dir string) {
 	opts := fastOpts()
 	opts.LeaseDuration = 50 * time.Millisecond
 	opts.MaxAttempts = 2
 	reg := opts.Registry
-	q := openQ(t, t.TempDir(), opts)
+	q := openQ(t, dir, opts)
 	q.Enqueue("j", 0, nil)
 
 	l := mustLease(t, q, "silent-worker")
@@ -304,6 +354,9 @@ func TestLeaseExpiryReclaimedByReaper(t *testing.T) {
 	if j, _ := q.Get("j"); string(j.Result) != "real" {
 		t.Errorf("result = %q, want the live worker's", j.Result)
 	}
+	if d := q.Depth(); d != 0 {
+		t.Errorf("depth after the reclaimed job finished = %d, want 0", d)
+	}
 }
 
 func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
@@ -329,9 +382,13 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 }
 
 func TestResultTTLRemovesAndTombstones(t *testing.T) {
+	eachMode(t, testResultTTLRemovesAndTombstones)
+}
+
+func testResultTTLRemovesAndTombstones(t *testing.T, dir string) {
 	opts := fastOpts()
 	opts.ResultTTL = 40 * time.Millisecond
-	q := openQ(t, t.TempDir(), opts)
+	q := openQ(t, dir, opts)
 	q.Enqueue("j", 0, nil)
 	l := mustLease(t, q, "w")
 	l.Ack([]byte("r"))
@@ -415,9 +472,13 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 // producers and consumers over one queue, every job delivered and acked
 // exactly once.
 func TestConcurrentProducersConsumers(t *testing.T) {
+	eachMode(t, testConcurrentProducersConsumers)
+}
+
+func testConcurrentProducersConsumers(t *testing.T, dir string) {
 	const producers, perProducer, consumers = 4, 25, 4
 	total := producers * perProducer
-	q := openQ(t, t.TempDir(), fastOpts())
+	q := openQ(t, dir, fastOpts())
 
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -535,4 +596,55 @@ func TestCrashDuringConcurrentLoad(t *testing.T) {
 			t.Errorf("pre-crash verdict for %s = %q err %v", id, j.Result, err)
 		}
 	}
+}
+
+// TestEnqueueBounded checks that the unfinished-job bound holds exactly
+// under concurrent producers (the check and the insert share one lock),
+// that finished jobs free their slot, and that only a WAL-backed queue caps
+// the payload size.
+func TestEnqueueBounded(t *testing.T) {
+	eachMode(t, func(t *testing.T, dir string) {
+		const max, producers = 5, 16
+		q := openQ(t, dir, fastOpts())
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		accepted, full := 0, 0
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				err := q.EnqueueBounded(max, fmt.Sprintf("j%d", p), 0, nil, "")
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case err == nil:
+					accepted++
+				case errors.Is(err, ErrFull):
+					full++
+				default:
+					t.Errorf("enqueue j%d: %v", p, err)
+				}
+			}(p)
+		}
+		wg.Wait()
+		if accepted != max || full != producers-max || q.Depth() != max {
+			t.Fatalf("accepted %d, full %d, depth %d; want %d, %d, %d",
+				accepted, full, q.Depth(), max, producers-max, max)
+		}
+		if err := mustLease(t, q, "w").Ack(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.EnqueueBounded(max, "after-ack", 0, nil, ""); err != nil {
+			t.Fatalf("enqueue after a job finished: %v", err)
+		}
+
+		big := make([]byte, maxRecordBytes/2+1)
+		err := q.EnqueueBounded(0, "big", 0, big, "")
+		if dir != "" && !errors.Is(err, ErrTooLarge) {
+			t.Errorf("WAL queue took a %d-byte payload: %v", len(big), err)
+		}
+		if dir == "" && err != nil {
+			t.Errorf("memory queue refused a %d-byte payload: %v", len(big), err)
+		}
+	})
 }

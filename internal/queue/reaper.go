@@ -75,8 +75,12 @@ func (q *Queue) reap() {
 
 // shouldCompactLocked decides whether the WAL carries enough dead weight
 // to be worth folding into a snapshot: total size beyond one segment's
-// worth and at least twice the live-state estimate.
+// worth and at least twice the live-state estimate. A memory-only queue
+// has no WAL to compact.
 func (q *Queue) shouldCompactLocked() bool {
+	if q.seg == nil {
+		return false
+	}
 	total := totalSegmentBytes(q.dir)
 	if total < q.opts.SegmentBytes {
 		return false
@@ -101,12 +105,15 @@ func (q *Queue) liveBytesLocked() int64 {
 // written to a temp file and renamed into place, and its leading reset
 // marker neutralizes any stale segment a crash leaves behind. Compaction
 // runs automatically from the reaper; the export exists for tests and
-// operational tooling.
+// operational tooling. On a memory-only queue it is a no-op.
 func (q *Queue) Compact() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
+	}
+	if q.seg == nil {
+		return nil
 	}
 	// Snapshot at the sequence after the active segment, then append
 	// future records to a segment after that.

@@ -126,6 +126,7 @@ type jobState struct {
 	Owner       string `json:"owner,omitempty"`
 	Result      []byte `json:"result,omitempty"`
 	LastErr     string `json:"err,omitempty"`
+	StartedAt   int64  `json:"started_at,omitempty"`
 	DoneAt      int64  `json:"done_at,omitempty"`
 }
 
@@ -170,6 +171,7 @@ func (j *Job) toState() *jobState {
 		Owner:       j.Owner,
 		Result:      j.Result,
 		LastErr:     j.LastErr,
+		StartedAt:   nanoTime(j.StartedAt),
 		DoneAt:      nanoTime(j.DoneAt),
 	}
 }
@@ -188,6 +190,7 @@ func (s *jobState) toJob() *Job {
 		Owner:       s.Owner,
 		Result:      s.Result,
 		LastErr:     s.LastErr,
+		StartedAt:   fromNano(s.StartedAt),
 		DoneAt:      fromNano(s.DoneAt),
 	}
 }

@@ -198,6 +198,7 @@ func (r *replayResult) apply(payload []byte) bool {
 		if j, ok := r.jobs[ev.ID]; ok {
 			j.State = StateLeased
 			j.Owner = ev.Owner
+			j.StartedAt = fromNano(ev.At)
 			j.LeaseExpiry = fromNano(ev.Deadline)
 		}
 	case opExtend:

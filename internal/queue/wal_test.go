@@ -240,6 +240,8 @@ func TestCompactionShrinksWALAndPreservesState(t *testing.T) {
 		t.Errorf("keep-done after compaction: %v", err)
 	} else if j.State != StateDone || string(j.Result) != "kept-result" {
 		t.Errorf("keep-done = %+v", j)
+	} else if j.StartedAt.IsZero() || !j.StartedAt.Equal(ld.Job.StartedAt) {
+		t.Errorf("keep-done started_at = %v, want the lease time %v", j.StartedAt, ld.Job.StartedAt)
 	}
 	if j, err := q2.Get("churn-0"); err != nil || j.State != StateDone {
 		t.Errorf("churn-0 after compaction = %+v err %v", j, err)

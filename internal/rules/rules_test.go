@@ -77,9 +77,9 @@ func TestDenyIPAndTLDAndString(t *testing.T) {
 		]
 	}`)
 	for src, rule := range map[string]string{
-		`connect("10.9.8.7", 4444)`:       "c2-ip",
-		`location = "http://drop.xyz/a"`:  "bad-tld",
-		`load("/libs/coinhive.min.js")`:   "miner",
+		`connect("10.9.8.7", 4444)`:      "c2-ip",
+		`location = "http://drop.xyz/a"`: "bad-tld",
+		`load("/libs/coinhive.min.js")`:  "miner",
 	} {
 		v := evalRaw(t, set, src)
 		if v.Action != ActionMalicious || len(v.Hits) == 0 || v.Hits[0].Rule != rule {

@@ -200,8 +200,8 @@ func TestAuditCarriesTriageTier(t *testing.T) {
 
 // TestBatchedScanMatchesPerSource: every entry point runs core.Detector
 // through the batch driver — ScanSources, ScanFiles over the same content
-// on disk, and ScanSource — and each verdict must equal core's reference
-// per-script path, DetectWithLimits under the engine's parser limits.
+// on disk, and ScanSource — and each verdict must equal core's per-script
+// path, DetectCtx (a batch of one).
 func TestBatchedScanMatchesPerSource(t *testing.T) {
 	det, samples := trainedDetector(t)
 	if _, ok := interface{}(det).(BatchClassifier); !ok {
@@ -209,7 +209,6 @@ func TestBatchedScanMatchesPerSource(t *testing.T) {
 	}
 	eng := New(det, Config{Workers: 4, CacheSize: -1})
 	ctx := obs.WithRegistry(context.Background(), obs.NewRegistry())
-	lim := parser.Limits{MaxDepth: eng.Config().MaxDepth, MaxTokens: eng.Config().MaxTokens}
 	dir := t.TempDir()
 
 	var sources []Source
@@ -240,9 +239,9 @@ func TestBatchedScanMatchesPerSource(t *testing.T) {
 		t.Fatalf("ScanFiles stats = %+v", fstats)
 	}
 	for i, s := range sources {
-		want, err := det.DetectWithLimits(ctx, s.Content, lim)
+		want, err := det.DetectCtx(ctx, s.Content)
 		if err != nil {
-			t.Fatalf("%s: DetectWithLimits: %v", s.Name, err)
+			t.Fatalf("%s: DetectCtx: %v", s.Name, err)
 		}
 		r, ok := got[s.Name]
 		if !ok {

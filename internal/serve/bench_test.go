@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,11 +14,10 @@ import (
 	"jsrevealer/internal/scan"
 )
 
-// BenchmarkServeScanBatch measures the serving layer's per-batch overhead —
-// admission, NDJSON parse, worker fan-out, and streamed encoding — around a
-// near-free classifier, so the number tracks the subsystem itself rather
-// than model inference.
-func BenchmarkServeScanBatch(b *testing.B) {
+// benchServer serves a near-free classifier with the verdict cache off, so
+// the serving benchmarks track the subsystem itself rather than model
+// inference, and returns the test server plus a 16-script NDJSON batch.
+func benchServer(b *testing.B) (*httptest.Server, string) {
 	instant := scan.ClassifierFunc(func(ctx context.Context, src string) (bool, error) {
 		return strings.Contains(src, "evil"), nil
 	})
@@ -31,9 +31,9 @@ func BenchmarkServeScanBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
+	b.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	b.Cleanup(ts.Close)
 
 	var batch strings.Builder
 	for i := 0; i < 16; i++ {
@@ -43,7 +43,13 @@ func BenchmarkServeScanBatch(b *testing.B) {
 		}
 		fmt.Fprintf(&batch, "{\"name\":\"s%d.js\",\"source\":%q}\n", i, src)
 	}
-	body := batch.String()
+	return ts, batch.String()
+}
+
+// BenchmarkServeScanBatch measures the serving layer's per-batch overhead —
+// admission, NDJSON parse, worker fan-out, and streamed encoding.
+func BenchmarkServeScanBatch(b *testing.B) {
+	ts, body := benchServer(b)
 	client := ts.Client()
 
 	b.ReportAllocs()
@@ -61,4 +67,51 @@ func BenchmarkServeScanBatch(b *testing.B) {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
 	}
+}
+
+// BenchmarkServeJobRoundTrip measures the async write path end to end: POST
+// /jobs with a 16-script batch, then poll GET /jobs/{id} until the job is
+// done — submission, queueing, a worker's lease, scan and commit, and the
+// polls in between.
+func BenchmarkServeJobRoundTrip(b *testing.B) {
+	ts, body := benchServer(b)
+	client := ts.Client()
+
+	polls := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := client.Post(ts.URL+"/jobs", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var acc struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&acc)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			b.Fatalf("submit: status %d, err %v", resp.StatusCode, err)
+		}
+		for {
+			polls++
+			resp, err := client.Get(ts.URL + "/jobs/" + acc.ID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var v JobView
+			err = json.NewDecoder(resp.Body).Decode(&v)
+			resp.Body.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if v.State == JobDone {
+				break
+			}
+			if v.State == JobFailed {
+				b.Fatalf("job failed: %s", v.Error)
+			}
+		}
+	}
+	b.ReportMetric(float64(polls)/float64(b.N), "polls/op")
 }

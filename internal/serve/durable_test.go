@@ -72,6 +72,9 @@ func TestDurableJobLifecycle(t *testing.T) {
 	if v.Attempt != 0 {
 		t.Errorf("attempt = %d, want 0 (no failed deliveries)", v.Attempt)
 	}
+	if v.StartedAt == nil || v.FinishedAt == nil {
+		t.Error("finished durable job missing timestamps")
+	}
 	if n := reg.Counter(JobsMetric, "", obs.Labels{"event": "done"}).Value(); n != 1 {
 		t.Errorf("jobs done counter = %d, want 1", n)
 	}
@@ -208,11 +211,11 @@ func TestDurableBacklogWatermark(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
 	_, ts, reg := newTestServer(t, Config{
-		ModelPath:      "model",
-		Loader:         stubLoader(map[string]scan.Classifier{"model": selectiveBlock(entered, release)}),
-		QueueDir:       t.TempDir(),
-		JobWorkers:     1,
-		QueueWatermark: 1,
+		ModelPath:  "model",
+		Loader:     stubLoader(map[string]scan.Classifier{"model": selectiveBlock(entered, release)}),
+		QueueDir:   t.TempDir(),
+		JobWorkers: 1,
+		MaxJobs:    1,
 	})
 
 	first := postBatch(t, ts, `{"name":"stuck.js","source":"block();"}`+"\n")

@@ -24,10 +24,10 @@ const (
 	// initial load at startup counts as one ok.
 	ReloadsMetric = "jsrevealer_serve_reloads_total"
 	// JobsMetric counts async jobs by lifecycle event
-	// (submitted|done|failed|evicted).
+	// (submitted|done|failed).
 	JobsMetric = "jsrevealer_serve_jobs_total"
-	// JobsInflightMetric gauges jobs accepted but not yet finished (queued
-	// or running).
+	// JobsInflightMetric gauges jobs this process's workers are running;
+	// the queued backlog is jsrevealer_queue_depth.
 	JobsInflightMetric = "jsrevealer_serve_jobs_inflight"
 )
 
@@ -39,7 +39,7 @@ var endpoints = []string{"/detect", "/scan", "/jobs", "/admin/reload", "/admin/r
 var rejectReasons = []string{"queue_full", "rate_limited", "draining", "no_model", "backlog"}
 
 // jobEvents is the closed label set of JobsMetric.
-var jobEvents = []string{"submitted", "done", "failed", "evicted"}
+var jobEvents = []string{"submitted", "done", "failed"}
 
 // RegisterMetrics pre-creates every serve metric series in reg (all label
 // values, zero-valued), so /metrics shows the full surface before traffic.
@@ -75,7 +75,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Model reload attempts by result.", obs.Labels{"result": "error"}),
 		jobs: make(map[string]*obs.Counter, len(jobEvents)),
 		jobInflight: reg.Gauge(JobsInflightMetric,
-			"Async jobs accepted but not yet finished.", nil),
+			"Async jobs running on this process's workers.", nil),
 	}
 	for _, reason := range rejectReasons {
 		m.rejects[reason] = reg.Counter(AdmissionRejectsMetric,

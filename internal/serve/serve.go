@@ -6,10 +6,11 @@
 //   - Batch and async APIs. POST /scan accepts many scripts per request
 //     (concatenated NDJSON records or multipart parts) and streams one
 //     NDJSON verdict line per script as results complete off the scan
-//     engine's worker pool. POST /jobs + GET /jobs/{id} give an async job
-//     store — bounded, in-memory, TTL-evicted, or WAL-backed and
-//     crash-durable with Config.QueueDir — for submissions too large to
-//     hold a connection open for.
+//     engine's worker pool. POST /jobs + GET /jobs/{id} run submissions
+//     too large to hold a connection open for as async jobs on one
+//     internal/queue job queue — bounded by MaxJobs, leased with retries,
+//     results kept for JobTTL — memory-only by default, WAL-backed and
+//     crash-durable with Config.QueueDir.
 //
 //   - Admission control. A bounded admission queue (concurrency slots plus
 //     a waiting room) with queue-wait accounting fast-fails 429 with
@@ -25,8 +26,9 @@
 //
 //   - Graceful drain. Drain stops admitting work, flips /healthz to 503
 //     "draining" so load balancers back off, and waits for accepted async
-//     jobs to finish; in-flight HTTP requests are left to the caller's
-//     http.Server.Shutdown.
+//     jobs to finish (in durable mode only for the running ones; queued
+//     jobs wait in the WAL for the next start); in-flight HTTP requests
+//     are left to the caller's http.Server.Shutdown.
 //
 // Every pillar emits jsrevealer_serve_* metrics through internal/obs, so
 // the whole subsystem is visible on the same /metrics surface as the scan
@@ -63,7 +65,7 @@ const (
 	DefaultMaxBatch = 256
 	// DefaultMaxQueue is the admission waiting room size.
 	DefaultMaxQueue = 64
-	// DefaultMaxJobs bounds the async job store.
+	// DefaultMaxJobs bounds the async job backlog.
 	DefaultMaxJobs = 256
 	// DefaultJobWorkers drain the async job queue.
 	DefaultJobWorkers = 2
@@ -71,10 +73,7 @@ const (
 	DefaultJobTTL = 10 * time.Minute
 	// DefaultDrainTimeout bounds graceful shutdown.
 	DefaultDrainTimeout = 5 * time.Second
-	// DefaultQueueWatermark is the durable-queue backlog beyond which
-	// admission answers 429.
-	DefaultQueueWatermark = 1024
-	// DefaultQueueLease is how long one durable delivery may run between
+	// DefaultQueueLease is how long one job delivery may run between
 	// heartbeats.
 	DefaultQueueLease = 30 * time.Second
 )
@@ -107,7 +106,9 @@ type Config struct {
 	RatePerSec float64
 	// Burst is the token-bucket capacity; <= 0 means max(1, RatePerSec).
 	Burst int
-	// MaxJobs bounds the async job store; <= 0 means DefaultMaxJobs.
+	// MaxJobs bounds the async job backlog: unfinished (pending plus
+	// running) jobs beyond which POST /jobs answers 429. <= 0 means
+	// DefaultMaxJobs.
 	MaxJobs int
 	// JobWorkers is the async worker count; <= 0 means DefaultJobWorkers.
 	JobWorkers int
@@ -116,21 +117,16 @@ type Config struct {
 	// DrainTimeout bounds Drain and the caller's server shutdown; <= 0
 	// means DefaultDrainTimeout.
 	DrainTimeout time.Duration
-	// QueueDir enables the durable job queue: async jobs are persisted to
-	// a WAL under this directory and survive crashes and restarts. Empty
-	// keeps the in-memory job store.
+	// QueueDir makes the job queue durable: async jobs are persisted to a
+	// WAL under this directory and survive crashes and restarts. Empty
+	// keeps them in memory only.
 	QueueDir string
-	// QueueWatermark is the durable backlog (pending + leased jobs) beyond
-	// which admission rejects new work with 429; <= 0 means
-	// DefaultQueueWatermark. Only meaningful with QueueDir.
-	QueueWatermark int
-	// QueueLease is the durable delivery lease; a worker that misses
+	// QueueLease is the job delivery lease; a worker that misses
 	// heartbeats for this long loses the job to another worker. <= 0 means
-	// DefaultQueueLease. Only meaningful with QueueDir.
+	// DefaultQueueLease.
 	QueueLease time.Duration
-	// QueueMaxAttempts is the delivery budget before a durable job is
-	// dead-lettered; <= 0 means the queue default (5). Only meaningful
-	// with QueueDir.
+	// QueueMaxAttempts is the delivery budget before a job fails
+	// (dead-letters); <= 0 means the queue default (5).
 	QueueMaxAttempts int
 	// TraceBuffer bounds the in-process trace store backing /debug/traces
 	// (recently finished traces kept for inspection). 0 selects
@@ -196,9 +192,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = DefaultDrainTimeout
 	}
-	if c.QueueWatermark <= 0 {
-		c.QueueWatermark = DefaultQueueWatermark
-	}
 	if c.QueueLease <= 0 {
 		c.QueueLease = DefaultQueueLease
 	}
@@ -222,19 +215,16 @@ type Server struct {
 	rules  *rules.Holder   // nil when the rules layer is disabled
 	alerts *alert.Sink     // nil when alerting is disabled
 
-	store       *jobStore
-	jobCh       chan *job
-	jobsPending atomic.Int64
-
-	// Durable mode (cfg.QueueDir set): q replaces the in-memory job path,
-	// workerCancel stops the durable workers' Next loops, and progress
-	// exposes verdicts of running durable jobs to polls.
+	// q holds the async jobs (in memory, or in a WAL under cfg.QueueDir),
+	// workerCancel stops the job workers' Next loops, progress exposes
+	// verdicts of running jobs to polls, and jobsPending counts leases the
+	// workers are running.
 	q            *queue.Queue
 	workerCancel context.CancelFunc
 	progress     progressTable
+	jobsPending  atomic.Int64
 
 	draining atomic.Bool
-	stop     chan struct{}
 	stopOnce sync.Once
 
 	handler http.Handler
@@ -253,13 +243,10 @@ func New(cfg Config, reg *obs.Registry) (*Server, error) {
 	scan.RegisterMetrics(reg)
 	met := newMetrics(reg)
 	s := &Server{
-		cfg:   cfg,
-		reg:   reg,
-		met:   met,
-		adm:   newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, met),
-		store: newJobStore(cfg.MaxJobs, cfg.JobTTL, met),
-		jobCh: make(chan *job, cfg.MaxJobs),
-		stop:  make(chan struct{}),
+		cfg: cfg,
+		reg: reg,
+		met: met,
+		adm: newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, met),
 	}
 	if cfg.RatePerSec > 0 {
 		s.rl = newRateLimiter(cfg.RatePerSec, cfg.Burst)
@@ -319,30 +306,25 @@ func New(cfg Config, reg *obs.Registry) (*Server, error) {
 		}
 		met.reloadOK.Inc()
 	}
-	if cfg.QueueDir != "" {
-		// Durable mode: jobs live in a WAL-backed queue instead of the
-		// in-memory store, so accepted work survives kill -9 and restart.
-		q, err := queue.Open(cfg.QueueDir, queue.Options{
-			MaxAttempts:   cfg.QueueMaxAttempts,
-			LeaseDuration: cfg.QueueLease,
-			ResultTTL:     cfg.JobTTL,
-			Registry:      reg,
-		})
-		if err != nil {
-			s.audit.Close()
-			return nil, err
-		}
-		s.q = q
-		s.progress.m = make(map[string][]verdictLine)
-		ctx, cancel := context.WithCancel(context.Background())
-		s.workerCancel = cancel
-		for i := 0; i < cfg.JobWorkers; i++ {
-			go s.durableWorker(ctx, i)
-		}
-	} else {
-		for i := 0; i < cfg.JobWorkers; i++ {
-			go s.jobWorker()
-		}
+	// Async jobs: memory-only by default; with QueueDir a WAL keeps
+	// accepted work across kill -9 and restart.
+	q, err := queue.Open(cfg.QueueDir, queue.Options{
+		MaxAttempts:   cfg.QueueMaxAttempts,
+		LeaseDuration: cfg.QueueLease,
+		ResultTTL:     cfg.JobTTL,
+		Registry:      reg,
+	})
+	if err != nil {
+		s.alerts.Close()
+		s.audit.Close()
+		return nil, err
+	}
+	s.q = q
+	s.progress.m = make(map[string][]verdictLine)
+	ctx, cancel := context.WithCancel(context.Background())
+	s.workerCancel = cancel
+	for i := 0; i < cfg.JobWorkers; i++ {
+		go s.jobWorker(ctx, i)
 	}
 	s.handler = s.buildMux()
 	return s, nil
@@ -415,20 +397,23 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain stops admitting new work (every work endpoint answers 503 and
 // /healthz flips to draining) and waits for accepted async jobs to finish,
-// up to ctx's deadline. In durable mode only leases held by this process
-// are waited for — queued jobs persist in the WAL and resume on the next
-// start, which is the whole point. In-flight synchronous requests are the
-// caller's http.Server.Shutdown's responsibility.
+// up to ctx's deadline. In memory mode the workers keep leasing until the
+// queue is empty, because queued jobs would die with the process. In
+// durable mode only leases held by this process are waited for — queued
+// jobs persist in the WAL and resume on the next start, which is the whole
+// point. In-flight synchronous requests are the caller's
+// http.Server.Shutdown's responsibility.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.workerCancel != nil {
-		// Durable workers stop leasing new jobs; held leases run out.
+	if s.durable() {
+		// Workers stop leasing new jobs; held leases run out.
 		s.workerCancel()
 	}
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		if s.jobsPending.Load() == 0 {
+		if s.jobsPending.Load() == 0 && (s.durable() || s.q.Depth() == 0) {
+			s.workerCancel()
 			return nil
 		}
 		select {
@@ -439,19 +424,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close stops the async job workers and, in durable mode, closes the
-// queue. Call after Drain on shutdown; in-memory jobs still queued (drain
-// timed out) are abandoned, durable ones stay in the WAL for the next
-// start.
+// Close stops the async job workers and closes the queue. Call after
+// Drain on shutdown; in-memory jobs still unfinished (drain timed out) are
+// abandoned, durable ones stay in the WAL for the next start.
 func (s *Server) Close() {
 	s.stopOnce.Do(func() {
-		close(s.stop)
-		if s.workerCancel != nil {
-			s.workerCancel()
-		}
-		if s.q != nil {
-			s.q.Close()
-		}
+		s.workerCancel()
+		s.q.Close()
 		// Drain queued alerts, then flush and fsync the audit tail; records
 		// from still-running goroutines after this point are dropped and
 		// counted.
@@ -550,13 +529,6 @@ func (s *Server) admit(h http.Handler) http.Handler {
 				s.reject(w, r, "rate_limited", http.StatusTooManyRequests, secs, "client rate limit exceeded")
 				return
 			}
-		}
-		if s.q != nil && s.q.Depth() >= s.cfg.QueueWatermark {
-			// The durable backlog is past the watermark: shed work before
-			// it ever touches a slot, with a hint to come back once the
-			// workers have caught up.
-			s.reject(w, r, "backlog", http.StatusTooManyRequests, 2, "durable job backlog past watermark")
-			return
 		}
 		release, queueFull := s.adm.acquire(r.Context().Done())
 		if release == nil {
@@ -716,105 +688,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleJobSubmit accepts a batch for asynchronous execution: the request
-// returns immediately with a job id, and GET /jobs/{id} polls it to
-// completion — the shape crawler-scale submitters need when a batch is too
-// big to hold a connection open for.
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	srcs, err := parseBatch(r, s.cfg.MaxBatch)
-	if err != nil {
-		var be *batchError
-		if errors.As(err, &be) {
-			writeJSONError(w, be.status, be.msg)
-		} else {
-			writeJSONError(w, http.StatusBadRequest, err.Error())
-		}
-		return
-	}
-	if s.q != nil {
-		s.durableSubmit(w, r, srcs)
-		return
-	}
-	j := &job{id: newJobID(), sources: srcs, submitted: time.Now(), state: JobQueued}
-	if sp := obs.SpanFromContext(r.Context()); sp != nil {
-		// Persist the submitting request's trace context so the worker's
-		// spans — which run after this response is long gone — join it.
-		j.trace = sp.Context().Traceparent()
-	}
-	j.reqID = audit.MetaFromContext(r.Context()).RequestID
-	if !s.store.put(j) {
-		s.reject(w, r, "queue_full", http.StatusTooManyRequests, 1, "job store full")
-		return
-	}
-	s.jobsPending.Add(1)
-	select {
-	case s.jobCh <- j:
-	default:
-		// The queue channel is sized to the store cap, so this is only
-		// reachable when evicted jobs left stale channel slots; shed load.
-		s.jobsPending.Add(-1)
-		s.store.remove(j.id)
-		s.reject(w, r, "queue_full", http.StatusTooManyRequests, 1, "job queue full")
-		return
-	}
-	s.met.jobs["submitted"].Inc()
-	s.met.jobInflight.Inc()
-	// Answer with the literal queued state: a worker may have started the
-	// job already, so j.state must not be read without its lock here.
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":      j.id,
-		"state":   JobQueued,
-		"scripts": len(srcs),
-	})
-}
-
-// handleJobGet polls one job. Ids that once existed but have since been
-// evicted answer 410 Gone with a JSON reason, so clients can tell "poll
-// slower next time" apart from "you never had this job" (404).
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.q != nil {
-		s.durableGet(w, r, id)
-		return
-	}
-	j, ok := s.store.get(id)
-	if !ok {
-		if s.store.forgotten(id) {
-			s.writeJSONGone(w, r, id)
-			return
-		}
-		writeJSONError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	writeJSON(w, http.StatusOK, j.view())
-}
-
-// writeJSONGone answers a poll for a job that existed but has been evicted
-// (TTL expiry or room-making) — 410 Gone, with the reason in the body and
-// an audit line recording that results were lost to retention.
-func (s *Server) writeJSONGone(w http.ResponseWriter, r *http.Request, id string) {
-	if s.audit != nil {
-		m := audit.MetaFromContext(r.Context())
-		rec := audit.Record{
-			Kind: "evicted", Job: id, Reason: "expired",
-			Source: m.Source, RequestID: m.RequestID,
-		}
-		if sp := obs.SpanFromContext(r.Context()); sp != nil {
-			rec.TraceID = sp.TraceID.String()
-		}
-		s.audit.Write(rec)
-	}
-	body := map[string]string{
-		"error":  "job results expired and were evicted",
-		"reason": "expired",
-	}
-	if id := w.Header().Get("X-Request-Id"); id != "" {
-		body["request_id"] = id
-	}
-	writeJSON(w, http.StatusGone, body)
-}
-
 // handleReload swaps the model: the current path by default, or ?path= to
 // point the server at a new file. Validation failures leave the old model
 // serving and answer 422 with the cause.
@@ -851,80 +724,4 @@ func (s *Server) handleReloadRules(w http.ResponseWriter, _ *http.Request) {
 // handleVersion reports the live model's provenance.
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Version())
-}
-
-// jobWorker drains the async queue until Close.
-func (s *Server) jobWorker() {
-	for {
-		select {
-		case j := <-s.jobCh:
-			s.runJob(j)
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-// runJob executes one accepted job. The engine generation is captured at
-// start, so a mid-job reload never mixes verdicts from two models within
-// one job.
-func (s *Server) runJob(j *job) {
-	defer func() {
-		s.jobsPending.Add(-1)
-		s.met.jobInflight.Dec()
-	}()
-	eng := s.engine()
-	j.mu.Lock()
-	j.state = JobRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-	if eng == nil {
-		j.mu.Lock()
-		j.state = JobFailed
-		j.errMsg = "no model loaded"
-		j.finished = time.Now()
-		j.mu.Unlock()
-		s.met.jobs["failed"].Inc()
-		return
-	}
-	// Rebuild the submitting request's trace context from the persisted
-	// traceparent: the worker's spans join the original trace even though
-	// the submit response is long gone.
-	ctx := s.workCtx(context.Background(), j.trace)
-	ctx, sp := obs.StartSpan(ctx, "job.run")
-	sp.SetAttr("job", j.id)
-	ctx = audit.WithMeta(ctx, audit.Meta{Source: "jobs", Job: j.id, RequestID: j.reqID})
-	s.engineScan(ctx, eng, j)
-	sp.End()
-	j.mu.Lock()
-	j.state = JobDone
-	j.finished = time.Now()
-	j.mu.Unlock()
-	s.met.jobs["done"].Inc()
-}
-
-// workCtx builds the observability context background workers scan under:
-// the server's registry and trace store, plus — when trace is a valid
-// traceparent persisted at submission — the submitting request's remote
-// trace context, so worker spans join the original trace.
-func (s *Server) workCtx(ctx context.Context, trace string) context.Context {
-	ctx = obs.WithRegistry(ctx, s.reg)
-	if s.traces != nil {
-		ctx = obs.WithTraceStore(ctx, s.traces)
-	}
-	if rc, ok := obs.ParseTraceparent(trace); ok {
-		ctx = obs.ContextWithRemote(ctx, rc)
-	}
-	return ctx
-}
-
-// engineScan streams the job's sources through the engine, appending each
-// verdict as it lands so a poll of a running job could expose progress.
-func (s *Server) engineScan(ctx context.Context, eng *scan.Engine, j *job) {
-	eng.ScanSources(ctx, j.sources, func(res scan.Result) {
-		line := toLine(res)
-		j.mu.Lock()
-		j.results = append(j.results, line)
-		j.mu.Unlock()
-	})
 }

@@ -197,7 +197,7 @@ func TestFreshTraceWithoutTraceparent(t *testing.T) {
 func TestTraceEndpointRejects(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	for path, want := range map[string]int{
-		"/debug/traces/not-hex": http.StatusBadRequest,
+		"/debug/traces/not-hex":                     http.StatusBadRequest,
 		"/debug/traces/" + strings.Repeat("ab", 16): http.StatusNotFound,
 	} {
 		resp, err := http.Get(ts.URL + path)

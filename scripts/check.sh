@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l ."
+test -z "$(gofmt -l .)" || { gofmt -l . >&2; echo "files above are not gofmt-formatted" >&2; exit 1; }
+
 echo "==> doc coverage (scripts/doccheck.sh)"
 sh scripts/doccheck.sh
 
