@@ -34,6 +34,7 @@ bench-rebaseline:
 # Bounded fuzzing budgets for the robustness targets.
 fuzz:
 	go test -fuzz=FuzzLex -fuzztime=30s ./internal/js/lexer/
+	go test -fuzz=FuzzReferenceLexer -fuzztime=30s ./internal/js/lexer/
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/js/parser/
 	go test -fuzz=FuzzDetect -fuzztime=30s ./internal/scan/
 	go test -fuzz=FuzzTriage -fuzztime=30s ./internal/triage/

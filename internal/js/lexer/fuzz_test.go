@@ -47,6 +47,8 @@ func FuzzLex(f *testing.F) {
 	f.Add("\xff\xfe\x80")
 	f.Add(strings.Repeat("\\x41", 500))
 	f.Add("aé世b")
+	f.Add("'a\\\r\nb'")
+	f.Add("'\\u{41}'")
 	f.Fuzz(func(t *testing.T, src string) {
 		toks, err := TokenizeLimit(src, 1<<20)
 		if err != nil {

@@ -8,9 +8,9 @@ import (
 	"unicode/utf8"
 )
 
-// ErrTooManyTokens is wrapped by TokenizeLimit when the input produces more
-// tokens than the configured cap, so adversarially large inputs are rejected
-// in bounded time instead of exhausting memory.
+// ErrTooManyTokens is returned (wrapped) by a lexer with a token cap once
+// the input produces more tokens than the cap, so adversarially large
+// inputs are rejected in bounded time instead of exhausting memory.
 var ErrTooManyTokens = errors.New("lexer: token limit exceeded")
 
 // SyntaxError describes a lexing failure with its source position.
@@ -25,26 +25,42 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-// Lexer tokenizes a JavaScript source string.
+// Lexer tokenizes a JavaScript source string one token at a time. It keeps
+// no token history beyond the previous token, so a consumer that needs only
+// a bounded lookahead (the parser) streams the input without holding its
+// token stream.
 type Lexer struct {
 	src  string
 	pos  int
 	line int
-	col  int
+	// lineStart is the offset of the current line's first byte; columns
+	// count bytes, so the column at pos is pos-lineStart+1.
+	lineStart int
 
 	// newlineSeen is set when a line terminator was consumed since the last
 	// emitted token.
 	newlineSeen bool
-	// prev is the previously emitted token, used to decide whether a '/'
-	// starts a regular expression or a division operator.
-	prev Token
-	// havePrev records whether prev is valid.
-	havePrev bool
+	// prevKind and prevLit describe the previously emitted token (prevKind
+	// is zero before the first), used to decide whether a '/' starts a
+	// regular expression or a division operator.
+	prevKind Kind
+	prevLit  string
+
+	// maxTokens caps the non-EOF tokens Next emits (<= 0: no cap); count
+	// is how many it has emitted.
+	maxTokens, count int
 }
 
-// New returns a lexer over src.
+// New returns a lexer over src with no token cap.
 func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return NewLimit(src, 0)
+}
+
+// NewLimit returns a lexer over src whose Next fails with an error wrapping
+// ErrTooManyTokens once more than maxTokens tokens (excluding the final
+// EOF) have been produced. maxTokens <= 0 disables the cap.
+func NewLimit(src string, maxTokens int) *Lexer {
+	return &Lexer{src: src, line: 1, maxTokens: maxTokens}
 }
 
 // Tokenize scans the entire input and returns the token stream, terminated
@@ -53,11 +69,10 @@ func Tokenize(src string) ([]Token, error) {
 	return TokenizeLimit(src, 0)
 }
 
-// TokenizeLimit scans the entire input like Tokenize but fails with an error
-// wrapping ErrTooManyTokens once more than maxTokens tokens (excluding the
-// final EOF) have been produced. maxTokens <= 0 disables the cap.
+// TokenizeLimit scans the entire input like Tokenize under NewLimit's token
+// cap.
 func TokenizeLimit(src string, maxTokens int) ([]Token, error) {
-	lx := New(src)
+	lx := NewLimit(src, maxTokens)
 	var out []Token
 	for {
 		tok, err := lx.Next()
@@ -68,23 +83,20 @@ func TokenizeLimit(src string, maxTokens int) ([]Token, error) {
 		if tok.Kind == EOF {
 			return out, nil
 		}
-		if maxTokens > 0 && len(out) > maxTokens {
-			return nil, fmt.Errorf("%w (limit %d)", ErrTooManyTokens, maxTokens)
-		}
 	}
 }
 
-// Next returns the next token in the stream.
+// Next returns the next token in the stream. After the end of the input it
+// keeps returning the EOF token.
 func (l *Lexer) Next() (Token, error) {
 	l.skipSpaceAndComments()
-	startLine, startCol := l.line, l.col
+	startLine, startCol := l.line, l.col()
 	nl := l.newlineSeen
 	l.newlineSeen = false
 
 	if l.pos >= len(l.src) {
-		tok := Token{Kind: EOF, Line: startLine, Col: startCol, NewlineBefore: nl}
-		l.remember(tok)
-		return tok, nil
+		l.prevKind, l.prevLit = EOF, ""
+		return Token{Kind: EOF, Line: startLine, Col: startCol, NewlineBefore: nl}, nil
 	}
 
 	c := l.src[l.pos]
@@ -93,7 +105,7 @@ func (l *Lexer) Next() (Token, error) {
 		err error
 	)
 	switch {
-	case isIdentStart(rune(c)) && c < utf8.RuneSelf:
+	case c < utf8.RuneSelf && asciiIdent[c]&identStart != 0:
 		tok = l.scanIdent()
 	case c >= utf8.RuneSelf:
 		// Decode the full rune: identifier starts proceed, anything else
@@ -110,17 +122,13 @@ func (l *Lexer) Next() (Token, error) {
 	case c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 		tok, err = l.scanNumber()
 	case c == '"' || c == '\'':
-		tok, err = l.scanString(c)
+		tok, err = l.scanQuoted(String, c, "unterminated string literal")
 	case c == '`':
-		tok, err = l.scanTemplate()
-	case c == '/':
-		if l.regexAllowed() {
-			tok, err = l.scanRegex()
-		} else {
-			tok = l.scanPunct()
-		}
+		tok, err = l.scanQuoted(Template, c, "unterminated template literal")
+	case c == '/' && l.regexAllowed():
+		tok, err = l.scanRegex()
 	default:
-		tok = l.scanPunct()
+		tok = l.scanPunct(c)
 		if tok.Literal == "" {
 			err = l.errorf("unexpected character %q", c)
 		}
@@ -128,37 +136,35 @@ func (l *Lexer) Next() (Token, error) {
 	if err != nil {
 		return Token{}, err
 	}
+	l.count++
+	if l.maxTokens > 0 && l.count > l.maxTokens {
+		return Token{}, fmt.Errorf("%w (limit %d)", ErrTooManyTokens, l.maxTokens)
+	}
 	tok.Line, tok.Col = startLine, startCol
 	tok.NewlineBefore = nl
-	l.remember(tok)
+	l.prevKind, l.prevLit = tok.Kind, tok.Literal
 	return tok, nil
 }
 
-func (l *Lexer) remember(tok Token) {
-	l.prev = tok
-	l.havePrev = true
-}
+func (l *Lexer) col() int { return l.pos - l.lineStart + 1 }
 
 func (l *Lexer) errorf(format string, args ...any) error {
-	return &SyntaxError{Msg: fmt.Sprintf(format, args...), Line: l.line, Col: l.col}
+	return &SyntaxError{Msg: fmt.Sprintf(format, args...), Line: l.line, Col: l.col()}
 }
 
 // regexAllowed reports whether a '/' at the current position begins a regex
 // literal rather than a division operator, based on the previous token.
 func (l *Lexer) regexAllowed() bool {
-	if !l.havePrev {
-		return true
-	}
-	switch l.prev.Kind {
+	switch l.prevKind {
 	case Ident, Number, String, Template, Regex:
 		return false
 	case Keyword:
 		// `this` behaves like a value; every other keyword can precede a regex
 		// (e.g. `return /x/`, `typeof /x/`).
-		return l.prev.Literal != "this" && l.prev.Literal != "null" &&
-			l.prev.Literal != "true" && l.prev.Literal != "false"
+		return l.prevLit != "this" && l.prevLit != "null" &&
+			l.prevLit != "true" && l.prevLit != "false"
 	case Punct:
-		switch l.prev.Literal {
+		switch l.prevLit {
 		case ")", "]", "}", "++", "--":
 			return false
 		}
@@ -168,16 +174,24 @@ func (l *Lexer) regexAllowed() bool {
 	}
 }
 
+// advance consumes up to n bytes, counting the line breaks among them.
+// Scanners that know their bytes hold no '\n' move pos directly.
 func (l *Lexer) advance(n int) {
-	for i := 0; i < n && l.pos < len(l.src); i++ {
-		if l.src[l.pos] == '\n' {
-			l.line++
-			l.col = 1
-		} else {
-			l.col++
-		}
-		l.pos++
+	end := l.pos + n
+	if end > len(l.src) {
+		end = len(l.src)
 	}
+	for ; l.pos < end; l.pos++ {
+		if l.src[l.pos] == '\n' {
+			l.newline(l.pos)
+		}
+	}
+}
+
+// newline records the line break at offset i.
+func (l *Lexer) newline(i int) {
+	l.line++
+	l.lineStart = i + 1
 }
 
 func (l *Lexer) skipSpaceAndComments() {
@@ -185,40 +199,66 @@ func (l *Lexer) skipSpaceAndComments() {
 		c := l.src[l.pos]
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\f' || c == '\v':
-			l.advance(1)
+			l.pos++
 		case c == '\n':
 			l.newlineSeen = true
-			l.advance(1)
+			l.newline(l.pos)
+			l.pos++
 		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.advance(1)
+			if i := strings.IndexByte(l.src[l.pos:], '\n'); i >= 0 {
+				l.pos += i
+			} else {
+				l.pos = len(l.src)
 			}
 		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			l.advance(2)
-			for l.pos < len(l.src) {
-				if l.src[l.pos] == '*' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/' {
-					l.advance(2)
-					break
-				}
-				if l.src[l.pos] == '\n' {
-					l.newlineSeen = true
-				}
-				l.advance(1)
+			// An unterminated comment runs to the end of the input.
+			end := len(l.src)
+			if i := strings.Index(l.src[l.pos+2:], "*/"); i >= 0 {
+				end = l.pos + 2 + i + 2
 			}
+			if strings.IndexByte(l.src[l.pos:end], '\n') >= 0 {
+				l.newlineSeen = true
+			}
+			l.advance(end - l.pos)
 		default:
 			return
 		}
 	}
 }
 
+// ASCII character classes for the identifier fast path.
+const (
+	identStart = 1 << iota
+	identPart
+)
+
+var asciiIdent = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		if isIdentStart(rune(c)) {
+			t[c] |= identStart
+		}
+		if isIdentPart(rune(c)) {
+			t[c] |= identPart
+		}
+	}
+	return t
+}()
+
 func (l *Lexer) scanIdent() Token {
 	start := l.pos
 	for l.pos < len(l.src) {
+		if c := l.src[l.pos]; c < utf8.RuneSelf {
+			if asciiIdent[c]&identPart == 0 {
+				break
+			}
+			l.pos++
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
 		if !isIdentPart(r) {
 			break
 		}
-		l.advance(size)
+		l.pos += size
 	}
 	text := l.src[start:l.pos]
 	kind := Ident
@@ -228,171 +268,188 @@ func (l *Lexer) scanIdent() Token {
 	return Token{Kind: kind, Literal: text, Raw: text}
 }
 
+// skipDigits consumes a run of bytes in class.
+func (l *Lexer) skipDigits(class func(byte) bool) {
+	for l.pos < len(l.src) && class(l.src[l.pos]) {
+		l.pos++
+	}
+}
+
 func (l *Lexer) scanNumber() (Token, error) {
 	start := l.pos
 	if l.src[l.pos] == '0' && l.pos+1 < len(l.src) &&
 		(l.src[l.pos+1] == 'x' || l.src[l.pos+1] == 'X') {
-		l.advance(2)
+		l.pos += 2
 		if l.pos >= len(l.src) || !isHexDigit(l.src[l.pos]) {
 			return Token{}, l.errorf("malformed hex literal")
 		}
-		for l.pos < len(l.src) && isHexDigit(l.src[l.pos]) {
-			l.advance(1)
-		}
+		l.skipDigits(isHexDigit)
 		raw := l.src[start:l.pos]
 		return Token{Kind: Number, Literal: raw, Raw: raw}, nil
 	}
-	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-		l.advance(1)
-	}
+	l.skipDigits(isDigit)
 	if l.pos < len(l.src) && l.src[l.pos] == '.' {
-		l.advance(1)
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.advance(1)
-		}
+		l.pos++
+		l.skipDigits(isDigit)
 	}
 	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-		l.advance(1)
+		l.pos++
 		if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-			l.advance(1)
+			l.pos++
 		}
 		if l.pos >= len(l.src) || !isDigit(l.src[l.pos]) {
 			return Token{}, l.errorf("malformed exponent")
 		}
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.advance(1)
-		}
+		l.skipDigits(isDigit)
 	}
 	raw := l.src[start:l.pos]
 	return Token{Kind: Number, Literal: raw, Raw: raw}, nil
 }
 
-func (l *Lexer) scanString(quote byte) (Token, error) {
+// scanQuoted scans a string (quote ' or ") or template (quote `) literal.
+// A string may not contain a raw line break; a template may. The decoded
+// value of a literal without escapes is a substring of the source; only a
+// literal with an escape is copied.
+func (l *Lexer) scanQuoted(kind Kind, quote byte, unterminated string) (Token, error) {
 	start := l.pos
-	l.advance(1) // opening quote
+	l.pos++ // opening quote
 	var sb strings.Builder
+	escaped := false
 	for {
 		if l.pos >= len(l.src) {
-			return Token{}, l.errorf("unterminated string literal")
+			return Token{}, l.errorf("%s", unterminated)
 		}
 		c := l.src[l.pos]
-		switch c {
-		case quote:
-			l.advance(1)
+		switch {
+		case c == quote:
+			l.pos++
 			raw := l.src[start:l.pos]
-			return Token{Kind: String, Literal: sb.String(), Raw: raw}, nil
-		case '\\':
-			l.advance(1)
+			lit := raw[1 : len(raw)-1]
+			if escaped {
+				lit = sb.String()
+			}
+			return Token{Kind: kind, Literal: lit, Raw: raw}, nil
+		case c == '\\':
+			if !escaped {
+				escaped = true
+				sb.WriteString(l.src[start+1 : l.pos])
+			}
+			l.pos++
 			if l.pos >= len(l.src) {
 				return Token{}, l.errorf("unterminated escape")
 			}
-			decoded, consumed, err := l.decodeEscape()
+			consumed, err := l.decodeEscape(&sb)
 			if err != nil {
 				return Token{}, err
 			}
-			sb.WriteString(decoded)
 			l.advance(consumed)
-		case '\n':
-			return Token{}, l.errorf("unterminated string literal")
+		case c == '\n':
+			if kind == String {
+				return Token{}, l.errorf("%s", unterminated)
+			}
+			l.newline(l.pos)
+			fallthrough
 		default:
-			sb.WriteByte(c)
-			l.advance(1)
+			if escaped {
+				sb.WriteByte(c)
+			}
+			l.pos++
 		}
 	}
 }
 
-// decodeEscape decodes the escape sequence at l.pos (after the backslash) and
-// returns the decoded text plus how many bytes to consume.
-func (l *Lexer) decodeEscape() (string, int, error) {
-	c := l.src[l.pos]
+// decodeEscape decodes the escape sequence at l.pos (after the backslash)
+// into sb and returns how many bytes to consume.
+func (l *Lexer) decodeEscape(sb *strings.Builder) (int, error) {
+	rest := l.src[l.pos:]
+	c := rest[0]
 	switch c {
 	case 'n':
-		return "\n", 1, nil
+		sb.WriteByte('\n')
 	case 't':
-		return "\t", 1, nil
+		sb.WriteByte('\t')
 	case 'r':
-		return "\r", 1, nil
+		sb.WriteByte('\r')
 	case 'b':
-		return "\b", 1, nil
+		sb.WriteByte('\b')
 	case 'f':
-		return "\f", 1, nil
+		sb.WriteByte('\f')
 	case 'v':
-		return "\v", 1, nil
+		sb.WriteByte('\v')
 	case '0':
-		return "\x00", 1, nil
+		sb.WriteByte(0)
 	case 'x':
-		if l.pos+2 >= len(l.src) {
-			return "", 0, l.errorf("malformed \\x escape")
+		if len(rest) <= 2 {
+			return 0, l.errorf("malformed \\x escape")
 		}
-		hi, lo := hexVal(l.src[l.pos+1]), hexVal(l.src[l.pos+2])
+		hi, lo := hexVal(rest[1]), hexVal(rest[2])
 		if hi < 0 || lo < 0 {
-			return "", 0, l.errorf("malformed \\x escape")
+			return 0, l.errorf("malformed \\x escape")
 		}
-		return string(rune(hi*16 + lo)), 3, nil
+		sb.WriteRune(rune(hi*16 + lo))
+		return 3, nil
 	case 'u':
-		if l.pos+4 >= len(l.src) {
-			return "", 0, l.errorf("malformed \\u escape")
+		return l.decodeUnicodeEscape(sb, rest)
+	case '\n':
+		// Line continuation: a backslash before any line terminator (LF,
+		// CR, CRLF, LS, PS) contributes nothing to the value.
+	case '\r':
+		if len(rest) > 1 && rest[1] == '\n' {
+			return 2, nil
 		}
-		v := 0
-		for i := 1; i <= 4; i++ {
-			d := hexVal(l.src[l.pos+i])
+	default:
+		if strings.HasPrefix(rest, "\u2028") || strings.HasPrefix(rest, "\u2029") {
+			return 3, nil
+		}
+		// Any other character stands for itself; a non-ASCII lead byte is
+		// read as the code point of its value.
+		sb.WriteRune(rune(c))
+	}
+	return 1, nil
+}
+
+// decodeUnicodeEscape decodes \uXXXX or \u{X…} (up to U+10FFFF); rest
+// starts at the 'u'.
+func (l *Lexer) decodeUnicodeEscape(sb *strings.Builder, rest string) (int, error) {
+	v, n := 0, 0
+	if len(rest) > 1 && rest[1] == '{' {
+		for n = 2; n < len(rest) && isHexDigit(rest[n]); n++ {
+			if v = v*16 + hexVal(rest[n]); v > unicode.MaxRune {
+				return 0, l.errorf("malformed \\u escape")
+			}
+		}
+		if n == 2 || n >= len(rest) || rest[n] != '}' {
+			return 0, l.errorf("malformed \\u escape")
+		}
+		n++
+	} else {
+		if len(rest) <= 4 {
+			return 0, l.errorf("malformed \\u escape")
+		}
+		for n = 1; n <= 4; n++ {
+			d := hexVal(rest[n])
 			if d < 0 {
-				return "", 0, l.errorf("malformed \\u escape")
+				return 0, l.errorf("malformed \\u escape")
 			}
 			v = v*16 + d
 		}
-		return string(rune(v)), 5, nil
-	case '\n':
-		// Line continuation.
-		return "", 1, nil
-	default:
-		return string(c), 1, nil
 	}
-}
-
-func (l *Lexer) scanTemplate() (Token, error) {
-	start := l.pos
-	l.advance(1) // backtick
-	var sb strings.Builder
-	for {
-		if l.pos >= len(l.src) {
-			return Token{}, l.errorf("unterminated template literal")
-		}
-		c := l.src[l.pos]
-		switch c {
-		case '`':
-			l.advance(1)
-			raw := l.src[start:l.pos]
-			return Token{Kind: Template, Literal: sb.String(), Raw: raw}, nil
-		case '\\':
-			l.advance(1)
-			if l.pos >= len(l.src) {
-				return Token{}, l.errorf("unterminated escape")
-			}
-			decoded, consumed, err := l.decodeEscape()
-			if err != nil {
-				return Token{}, err
-			}
-			sb.WriteString(decoded)
-			l.advance(consumed)
-		default:
-			sb.WriteByte(c)
-			l.advance(1)
-		}
-	}
+	sb.WriteRune(rune(v))
+	return n, nil
 }
 
 func (l *Lexer) scanRegex() (Token, error) {
 	start := l.pos
-	l.advance(1) // opening slash
+	l.pos++ // opening slash
 	inClass := false
 	for {
 		if l.pos >= len(l.src) || l.src[l.pos] == '\n' {
 			return Token{}, l.errorf("unterminated regular expression")
 		}
-		c := l.src[l.pos]
-		switch c {
+		switch l.src[l.pos] {
 		case '\\':
+			// The escaped byte may be a line break, which the regex then
+			// spans.
 			l.advance(2)
 			continue
 		case '[':
@@ -401,33 +458,44 @@ func (l *Lexer) scanRegex() (Token, error) {
 			inClass = false
 		case '/':
 			if !inClass {
-				l.advance(1)
+				l.pos++
 				// Flags.
 				for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-					l.advance(1)
+					l.pos++
 				}
 				raw := l.src[start:l.pos]
 				return Token{Kind: Regex, Literal: raw, Raw: raw}, nil
 			}
 		}
-		l.advance(1)
+		l.pos++
 	}
 }
 
-// puncts lists punctuators longest-first so maximal munch applies.
-var puncts = []string{
-	">>>=", "===", "!==", ">>>", "<<=", ">>=", "**=",
-	"==", "!=", "<=", ">=", "&&", "||", "++", "--",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>", "=>", "**",
-	"{", "}", "(", ")", "[", "]", ";", ",", "<", ">", "+", "-", "*", "/",
-	"%", "&", "|", "^", "!", "~", "?", ":", "=", ".",
-}
+// punctsByFirst lists, for each leading byte, the punctuators starting with
+// it longest-first, so maximal munch applies.
+var punctsByFirst = func() (t [utf8.RuneSelf][]string) {
+	for _, p := range []string{
+		">>>=", "===", "!==", ">>>", "<<=", ">>=", "**=",
+		"==", "!=", "<=", ">=", "&&", "||", "++", "--",
+		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>", "=>", "**",
+		"{", "}", "(", ")", "[", "]", ";", ",", "<", ">", "+", "-", "*", "/",
+		"%", "&", "|", "^", "!", "~", "?", ":", "=", ".",
+	} {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return t
+}()
 
-func (l *Lexer) scanPunct() Token {
+// scanPunct scans the punctuator starting with c at l.pos; the token's
+// Literal is empty when none does.
+func (l *Lexer) scanPunct(c byte) Token {
+	if c >= utf8.RuneSelf {
+		return Token{Kind: Punct}
+	}
 	rest := l.src[l.pos:]
-	for _, p := range puncts {
+	for _, p := range punctsByFirst[c] {
 		if strings.HasPrefix(rest, p) {
-			l.advance(len(p))
+			l.pos += len(p)
 			return Token{Kind: Punct, Literal: p, Raw: p}
 		}
 	}

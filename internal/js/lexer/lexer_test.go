@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -246,5 +247,51 @@ func TestLineContinuation(t *testing.T) {
 	toks := kindsOf(t, "\"ab\\\ncd\"")
 	if toks[0].Literal != "abcd" {
 		t.Errorf("line continuation literal = %q, want abcd", toks[0].Literal)
+	}
+}
+
+// TestLineTerminatorContinuations covers a backslash before each line
+// terminator ECMAScript knows: LF, CR, CRLF, LS (U+2028) and PS (U+2029).
+// Each continues the literal and contributes nothing to its value.
+func TestLineTerminatorContinuations(t *testing.T) {
+	for _, term := range []string{"\n", "\r", "\r\n", "\u2028", "\u2029"} {
+		for _, q := range []string{"'", "\"", "`"} {
+			src := q + "a\\" + term + "b" + q
+			toks := kindsOf(t, src)
+			if len(toks) != 1 || toks[0].Literal != "ab" || toks[0].Raw != src {
+				t.Errorf("Tokenize(%q) = %v, want one literal \"ab\"", src, toks)
+			}
+		}
+	}
+	// A continued line still counts as a line.
+	toks := kindsOf(t, "'a\\\r\nb' x")
+	if toks[1].Line != 2 || toks[1].Col != 4 {
+		t.Errorf("token after CRLF continuation at %d:%d, want 2:4", toks[1].Line, toks[1].Col)
+	}
+}
+
+// TestBracedUnicodeEscapes covers \u{…}: any number of hex digits up to
+// U+10FFFF, in strings and templates.
+func TestBracedUnicodeEscapes(t *testing.T) {
+	cases := map[string]string{
+		`'\u{41}'`:        "A",
+		`"\u{0041}x"`:     "Ax",
+		`'\u{1F600}'`:     "\U0001F600",
+		`'\u{10FFFF}'`:    "\U0010FFFF",
+		`'\u{000000061}'`: "a",
+		"`\\u{e9}`":       "é",
+	}
+	for src, want := range cases {
+		toks := kindsOf(t, src)
+		if len(toks) != 1 || toks[0].Literal != want {
+			t.Errorf("Tokenize(%s) = %v, want literal %q", src, toks, want)
+		}
+	}
+	for _, src := range []string{`'\u{110000}'`, `'\u{}'`, `'\u{41'`, `'\u{4g}'`, `'\u{`} {
+		_, err := Tokenize(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || se.Msg != `malformed \u escape` || se.Col != 3 {
+			t.Errorf("Tokenize(%s): err %v, want malformed \\u escape at 1:3", src, err)
+		}
 	}
 }

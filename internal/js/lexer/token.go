@@ -64,17 +64,19 @@ func (t Token) String() string {
 	return fmt.Sprintf("%s(%q)@%d:%d", t.Kind, t.Literal, t.Line, t.Col)
 }
 
-// keywords is the set of reserved words recognized as Keyword tokens.
-var keywords = map[string]bool{
-	"break": true, "case": true, "catch": true, "continue": true,
-	"debugger": true, "default": true, "delete": true, "do": true,
-	"else": true, "finally": true, "for": true, "function": true,
-	"if": true, "in": true, "instanceof": true, "new": true,
-	"return": true, "switch": true, "this": true, "throw": true,
-	"try": true, "typeof": true, "var": true, "void": true,
-	"while": true, "with": true, "let": true, "const": true,
-	"null": true, "true": true, "false": true,
+// IsKeyword reports whether name is a reserved word, one recognized as a
+// Keyword token.
+func IsKeyword(name string) bool {
+	switch name {
+	case "break", "case", "catch", "continue",
+		"debugger", "default", "delete", "do",
+		"else", "finally", "for", "function",
+		"if", "in", "instanceof", "new",
+		"return", "switch", "this", "throw",
+		"try", "typeof", "var", "void",
+		"while", "with", "let", "const",
+		"null", "true", "false":
+		return true
+	}
+	return false
 }
-
-// IsKeyword reports whether name is a reserved word.
-func IsKeyword(name string) bool { return keywords[name] }

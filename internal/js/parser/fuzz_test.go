@@ -86,6 +86,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("for (var i = 0; i < 10; i++) { o[i] = {k: [1,,2]}; }")
 	f.Add("try { throw /re/g; } catch (e) { l: while (1) break l; }")
 	f.Add("switch (x) { case 1: default: new new Date()(); }")
+	f.Add("var s = 'a\\\r\nb';")
+	f.Add("var s = '\\u{41}';")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := ParseWithLimits(src, Limits{MaxDepth: 500, MaxTokens: 100_000})
 		if prog == nil && err == nil {

@@ -37,7 +37,7 @@ var ErrCancelled = errors.New("parser: parse cancelled")
 type Limits struct {
 	// MaxDepth caps recursive-descent nesting; <= 0 means DefaultMaxDepth.
 	MaxDepth int
-	// MaxTokens caps the token count (see lexer.TokenizeLimit); <= 0
+	// MaxTokens caps the token count (see lexer.NewLimit); <= 0
 	// disables the cap.
 	MaxTokens int
 	// Cancel, when non-nil, aborts the parse with ErrCancelled shortly
@@ -72,44 +72,91 @@ func ParseWithLimits(src string, lim Limits) (*ast.Program, error) {
 // observability layer's per-stage attribution (lexing and parsing would
 // otherwise be indistinguishable from the outside).
 type Timing struct {
-	// Lex is the tokenization time, including a failed tokenization.
+	// Lex is the tokenization time: the sum of the parser's token-window
+	// fills, including a failed one and the drain after a parse error.
 	Lex time.Duration
-	// Parse is the recursive-descent time over the token stream.
+	// Parse is the rest of the parse: recursive descent over the tokens.
 	Parse time.Duration
 }
+
+// window is how many tokens the parser holds at once. The grammar needs
+// only the current token and one of lookahead and never backtracks, so
+// the lexer runs one window ahead of the parser instead of materializing
+// the whole token stream.
+const window = 256
 
 // ParseTimed is ParseWithLimits with a per-phase timing breakdown. The
 // timing is valid even when err is non-nil (the failing phase's duration is
 // still reported).
+//
+// Errors take the precedence they would if the whole input were lexed
+// before parsing: a lex error or Limits.MaxTokens overrun anywhere in the
+// input wins over a parse error, so after a parse error the rest of the
+// input is lexed (drained) to look for one. Cancellation returns at once;
+// it is polled by the parser and on every window fill, so lexing is under
+// the deadline too.
 func ParseTimed(src string, lim Limits) (*ast.Program, Timing, error) {
+	return parseTimed(src, lim, window)
+}
+
+// parseTimed is ParseTimed with a window of n >= 2 tokens.
+func parseTimed(src string, lim Limits, n int) (*ast.Program, Timing, error) {
 	if lim.MaxDepth <= 0 {
 		lim.MaxDepth = DefaultMaxDepth
 	}
-	var tm Timing
 	t0 := time.Now()
-	toks, err := lexer.TokenizeLimit(src, lim.MaxTokens)
-	tm.Lex = time.Since(t0)
+	p := &parser{
+		lx:       lexer.NewLimit(src, lim.MaxTokens),
+		toks:     make([]lexer.Token, 0, min(n, len(src)+2)),
+		maxDepth: lim.MaxDepth,
+		cancel:   lim.Cancel,
+	}
+	p.fill()
+	prog, err := p.parseProgram()
+	switch {
+	case p.lexErr != nil:
+		err = p.lexErr
+	case err != nil && !errors.Is(err, ErrCancelled):
+		for !p.lexDone {
+			p.pos = len(p.toks) - 1
+			p.fill()
+		}
+		if p.lexErr != nil {
+			err = p.lexErr
+		}
+	}
+	tm := Timing{Lex: p.lexTime, Parse: time.Since(t0) - p.lexTime}
 	if err != nil {
 		return nil, tm, err
 	}
-	t0 = time.Now()
-	p := &parser{toks: toks, maxDepth: lim.MaxDepth, cancel: lim.Cancel}
+	return prog, tm, nil
+}
+
+func (p *parser) parseProgram() (*ast.Program, error) {
 	prog := &ast.Program{}
 	for !p.atEOF() {
 		stmt, err := p.parseStatement()
 		if err != nil {
-			tm.Parse = time.Since(t0)
-			return nil, tm, err
+			return nil, err
 		}
 		prog.Body = append(prog.Body, stmt)
 	}
-	tm.Parse = time.Since(t0)
-	return prog, tm, nil
+	return prog, nil
 }
 
 type parser struct {
+	lx *lexer.Lexer
+	// toks is the token window: toks[pos] is the current token. Once the
+	// lexer is done, the window ends with the EOF token.
 	toks []lexer.Token
 	pos  int
+	// lexDone is set once the EOF token is in the window or lexing failed;
+	// lexErr is the failure (a lex error, the token cap, or ErrCancelled),
+	// after which the window ends with a stand-in EOF so the parser
+	// unwinds. lexTime sums the window fills.
+	lexDone bool
+	lexErr  error
+	lexTime time.Duration
 
 	// depth tracks recursive-descent nesting against maxDepth.
 	depth    int
@@ -117,6 +164,40 @@ type parser struct {
 	// steps counts enter calls so cancellation is polled cheaply.
 	steps  int
 	cancel <-chan struct{}
+}
+
+// fill slides the current token to the front of the window and lexes the
+// rest of the window full (or up to EOF).
+func (p *parser) fill() {
+	if p.lexDone {
+		return
+	}
+	t0 := time.Now()
+	p.toks = p.toks[:copy(p.toks[:cap(p.toks)], p.toks[p.pos:])]
+	p.pos = 0
+	select {
+	case <-p.cancel:
+		p.stopLexing(ErrCancelled)
+	default:
+		for len(p.toks) < cap(p.toks) {
+			tok, err := p.lx.Next()
+			if err != nil {
+				p.stopLexing(err)
+				break
+			}
+			p.toks = append(p.toks, tok)
+			if tok.Kind == lexer.EOF {
+				p.lexDone = true
+				break
+			}
+		}
+	}
+	p.lexTime += time.Since(t0)
+}
+
+func (p *parser) stopLexing(err error) {
+	p.lexErr, p.lexDone = err, true
+	p.toks = append(p.toks, lexer.Token{Kind: lexer.EOF})
 }
 
 // enter charges one recursion frame; it fails once the depth budget is
@@ -143,19 +224,25 @@ func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() lexer.Token { return p.toks[p.pos] }
 func (p *parser) atEOF() bool      { return p.cur().Kind == lexer.EOF }
+
+// advance consumes the current token; at EOF it stays put.
 func (p *parser) advance() lexer.Token {
 	t := p.toks[p.pos]
+	if p.pos == len(p.toks)-1 {
+		p.fill()
+	}
 	if p.pos < len(p.toks)-1 {
 		p.pos++
 	}
 	return t
 }
 
+// peek returns the token after the current one (EOF at the end).
 func (p *parser) peek() lexer.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+	if p.pos == len(p.toks)-1 {
+		p.fill()
 	}
-	return p.toks[len(p.toks)-1]
+	return p.toks[min(p.pos+1, len(p.toks)-1)]
 }
 
 func (p *parser) errorf(format string, args ...any) error {

@@ -4,7 +4,10 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"jsrevealer/internal/corpus"
+	"jsrevealer/internal/js/ast"
 	"jsrevealer/internal/js/parser"
+	"jsrevealer/internal/obfuscate"
 )
 
 // refHash reimplements Path.Hash through the stdlib hasher, the
@@ -139,19 +142,44 @@ func BenchmarkPathHash(b *testing.B) {
 	}
 }
 
-// BenchmarkExtract measures one full extraction (data flow + traversal +
-// enumeration) with the arena-backed buffers.
+// BenchmarkExtract measures full extractions (data flow + traversal +
+// enumeration): of the small sample script, and of 40 obfuscated scripts
+// per op.
 func BenchmarkExtract(b *testing.B) {
 	prog, err := parser.Parse(sampleSrc)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts := DefaultOptions()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if paths := Extract(prog, opts); len(paths) == 0 {
-			b.Fatal("no paths")
+	b.Run("sample", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if paths := Extract(prog, opts); len(paths) == 0 {
+				b.Fatal("no paths")
+			}
+		}
+	})
+	// The obfuscated leg mirrors the load benchmark's pool: pristine
+	// scripts through the four obfuscators in turn.
+	samples := corpus.Generate(corpus.Config{Benign: 20, Malicious: 20, Seed: 1102, Pristine: true})
+	reg := obfuscate.Registry(1103)
+	order := obfuscate.PaperOrder()
+	var progs []*ast.Program
+	for i, s := range samples {
+		src, err := reg[order[i%len(order)]].Obfuscate(s.Source)
+		if err != nil {
+			continue
+		}
+		if prog, err := parser.Parse(src); err == nil {
+			progs = append(progs, prog)
 		}
 	}
+	b.Run("obfuscated", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, prog := range progs {
+				Extract(prog, opts)
+			}
+		}
+	})
 }

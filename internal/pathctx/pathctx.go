@@ -13,6 +13,7 @@
 package pathctx
 
 import (
+	"slices"
 	"strings"
 	"time"
 
@@ -124,6 +125,11 @@ func (p Path) ComponentHashes() (source, structure, target uint64) {
 
 // Extract parses nothing: it takes an already-parsed program, runs the
 // data-flow analysis when enabled, and returns the path contexts.
+//
+// prog must be a tree, as the parser produces: no node may appear twice.
+// Leaves are related through the depth at which the traversal turns from
+// one to the next, which identifies their lowest common ancestor only when
+// every node has one parent.
 func Extract(prog *ast.Program, opts Options) []Path {
 	paths, _ := ExtractTimed(prog, opts)
 	return paths
@@ -159,7 +165,7 @@ func ExtractTimed(prog *ast.Program, opts Options) ([]Path, Timing) {
 	t0 := time.Now()
 	types := inferTypes(prog)
 
-	leaves := collectLeaves(prog, info, types)
+	leaves, adj := collectLeaves(prog, info, types, opts.MaxLength+1)
 	// Pair enumeration is quadratic in the leaf count, so heavily
 	// obfuscated files (hundreds of kilobytes, tens of thousands of leaves)
 	// must be down-sampled before enumeration — the same "limit the number
@@ -170,13 +176,19 @@ func ExtractTimed(prog *ast.Program, opts Options) ([]Path, Timing) {
 		if len(leaves) > maxLeaves {
 			idx := strideIndices(len(leaves), maxLeaves)
 			kept := make([]leaf, len(idx))
+			keptAdj := make([]int, len(idx)-1)
 			for i, j := range idx {
 				kept[i] = leaves[j]
+				if i+1 < len(idx) {
+					// The LCA of two leaves is the shallowest LCA of the
+					// adjacent pairs between them.
+					keptAdj[i] = slices.Min(adj[j:idx[i+1]])
+				}
 			}
-			leaves = kept
+			leaves, adj = kept, keptAdj
 		}
 	}
-	paths := enumerate(leaves, opts)
+	paths := enumerate(leaves, adj, opts)
 	tm.Traversal = time.Since(t0)
 	return paths, tm
 }
@@ -197,108 +209,94 @@ func strideIndices(total, n int) []int {
 	return out
 }
 
-// leaf is an AST leaf annotated with its abstracted value and the chain of
-// ancestors from the root (inclusive of the leaf itself).
+// leaf is an AST leaf annotated with its abstracted value and the bottom
+// of its chain of ancestors. Chain index 0 is the root and depth-1 the leaf
+// itself; the leaf keeps the node types and child indexes of only the
+// bottom window of that chain, because a path of at most MaxLength nodes
+// never climbs above it.
 type leaf struct {
 	value string
-	// chain[0] is the root; chain[len-1] is the leaf node.
-	chain []ast.Node
-	// typs[i] is chain[i].Type(), cached so path construction copies
-	// strings instead of re-dispatching the interface method per pair.
+	depth int
+	// typs[k] is the node type at chain index lo+k, where lo =
+	// depth-len(typs); the last entry is the leaf's own type.
 	typs []string
-	// childIdx[i] is the index of chain[i+1] among chain[i]'s children.
-	childIdx []int
+	// idxs[k] is the index of chain node lo+k+1 among the children of chain
+	// node lo+k.
+	idxs []int
 }
+
+// typ returns the node type at chain index d (d >= lo).
+func (l *leaf) typ(d int) string { return l.typs[d-l.depth+len(l.typs)] }
+
+// childIdx returns the child index below chain index d (lo <= d < depth-1).
+func (l *leaf) childIdx(d int) int { return l.idxs[d-l.depth+len(l.typs)] }
 
 // maxWalkDepth bounds AST traversal depth so programmatically built trees
 // deeper than anything the parser's own recursion limit admits cannot
 // overflow the stack; leaves below the cap are simply not extracted.
 const maxWalkDepth = 4096
 
-// arenaBlock is the chunk size (in elements) of the extraction arenas. Leaf
-// chains and path node sequences are carved out of shared blocks instead of
-// being allocated per leaf / per pair, which amortizes thousands of small
-// allocations per extraction into a handful of block allocations. Blocks
-// are never reused across Extract calls — retained Paths alias them.
-const arenaBlock = 4096
+// Leaf windows and path node sequences are carved out of shared blocks
+// instead of being allocated per leaf / per pair, which amortizes thousands
+// of small allocations per extraction into a handful of block allocations.
+// Blocks start at arenaMinBlock elements and double up to arenaBlock, so a
+// small script does not pay for a full block. Blocks are never reused
+// across Extract calls — retained Paths alias them.
+const (
+	arenaMinBlock = 64
+	arenaBlock    = 4096
+)
 
-// stringArena hands out []string chunks carved from shared blocks.
-type stringArena struct{ free []string }
+// arena hands out capacity-clamped slices carved from shared blocks.
+type arena[T any] struct {
+	free []T
+	next int // size of the next block
+}
 
-func (a *stringArena) alloc(n int) []string {
+func (a *arena[T]) alloc(n int) []T {
 	if len(a.free) < n {
-		size := arenaBlock
-		if n > size {
-			size = n
-		}
-		a.free = make([]string, size)
+		a.next = min(max(2*a.next, arenaMinBlock), arenaBlock)
+		a.free = make([]T, max(n, a.next))
 	}
 	out := a.free[:n:n]
 	a.free = a.free[n:]
 	return out
 }
 
-// nodeArena hands out []ast.Node chunks carved from shared blocks.
-type nodeArena struct{ free []ast.Node }
-
-func (a *nodeArena) alloc(n int) []ast.Node {
-	if len(a.free) < n {
-		size := arenaBlock
-		if n > size {
-			size = n
-		}
-		a.free = make([]ast.Node, size)
-	}
-	out := a.free[:n:n]
-	a.free = a.free[n:]
-	return out
-}
-
-// intArena hands out []int chunks carved from shared blocks.
-type intArena struct{ free []int }
-
-func (a *intArena) alloc(n int) []int {
-	if len(a.free) < n {
-		size := arenaBlock
-		if n > size {
-			size = n
-		}
-		a.free = make([]int, size)
-	}
-	out := a.free[:n:n]
-	a.free = a.free[n:]
-	return out
-}
-
-// collectLeaves gathers all leaves in source order with their root chains.
-// Chain and child-index copies come from shared arenas, not per-leaf makes.
-func collectLeaves(prog *ast.Program, info *dataflow.Info, types map[string]string) []leaf {
-	var out []leaf
-	var chain []ast.Node
+// collectLeaves gathers all leaves in source order, each with the bottom
+// window entries of its chain, plus adj: adj[j] is the chain index of the
+// lowest common ancestor of leaves j and j+1, which in a depth-first walk
+// of a tree is one less than the shallowest stack depth the walk unwinds
+// to between them. Window copies come from shared arenas, not per-leaf
+// makes.
+func collectLeaves(prog *ast.Program, info *dataflow.Info, types map[string]string, window int) (out []leaf, adj []int) {
 	var typs []string
 	var idxs []int
-	var nodes nodeArena
-	var strs stringArena
-	var ints intArena
+	var strs arena[string]
+	var ints arena[int]
+	// low is the shallowest stack depth since the last leaf was kept.
+	low := 0
 
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
-		if len(chain) >= maxWalkDepth {
+		if len(typs) >= maxWalkDepth {
 			return
 		}
-		chain = append(chain, n)
 		typs = append(typs, n.Type())
 		kids := n.Children()
 		if len(kids) == 0 {
-			val := leafValue(n, info, types)
-			if val != "" {
-				c := nodes.alloc(len(chain))
-				copy(c, chain)
-				ct := strs.alloc(len(typs))
-				copy(ct, typs)
-				ci := ints.alloc(len(idxs))
-				copy(ci, idxs)
-				out = append(out, leaf{value: val, chain: c, typs: ct, childIdx: ci})
+			if val := leafValue(n, info, types); val != "" {
+				d := len(typs)
+				if len(out) > 0 {
+					adj = append(adj, low-1)
+				}
+				low = d
+				w := min(d, window)
+				ct := strs.alloc(w)
+				copy(ct, typs[d-w:])
+				ci := ints.alloc(w - 1)
+				copy(ci, idxs[d-w:])
+				out = append(out, leaf{value: val, depth: d, typs: ct, idxs: ci})
 			}
 		}
 		for i, k := range kids {
@@ -306,11 +304,11 @@ func collectLeaves(prog *ast.Program, info *dataflow.Info, types map[string]stri
 			walk(k)
 			idxs = idxs[:len(idxs)-1]
 		}
-		chain = chain[:len(chain)-1]
 		typs = typs[:len(typs)-1]
+		low = min(low, len(typs))
 	}
 	walk(prog)
-	return out
+	return out, adj
 }
 
 // leafValue computes the path-context value for a leaf: a concrete value for
@@ -445,131 +443,102 @@ func exprType(e ast.Expression) string {
 
 // enumerate produces leaf pairs whose connecting path satisfies the length
 // and width bounds, stopping once far more paths than the final sample
-// needs have been collected.
-func enumerate(leaves []leaf, opts Options) []Path {
+// needs have been found, and builds an even-stride sample of MaxPaths of
+// them. Pairs are walked twice — once to count them, once to build the
+// sampled ones — because at the default bounds 95% of the qualifying pairs
+// are discarded by the sampler, so neither they nor a list of them are
+// ever materialized.
+func enumerate(leaves []leaf, adj []int, opts Options) []Path {
+	if len(leaves) < 2 {
+		return nil
+	}
 	budget := -1
 	if opts.MaxPaths > 0 {
 		budget = 20 * opts.MaxPaths
 	}
-	if len(leaves) < 2 {
-		return nil
+	total := 0
+	eachPair(leaves, adj, opts, func(int, int, int) bool {
+		total++
+		return total != budget
+	})
+	n := total
+	if opts.MaxPaths > 0 && n > opts.MaxPaths {
+		n = opts.MaxPaths
 	}
-	// Leaves arrive in DFS order, so the last common chain index of any pair
-	// (i, j) is the minimum of the adjacent-pair values over [i, j).
-	// Precomputing those n-1 values turns each pair's LCA into a single
-	// comparison instead of a root-down walk with interface equality checks —
-	// the dominant cost of the quadratic enumeration.
-	adjLCA := make([]int, len(leaves)-1)
-	for j := 0; j+1 < len(leaves); j++ {
-		adjLCA[j] = lastCommonIndex(leaves[j], leaves[j+1])
-	}
-	// Pass 1: collect qualifying pairs as index triples. Paths themselves are
-	// built only after down-sampling — at the default bounds 95% of the
-	// enumerated pairs are discarded by the sampler, so building them (arena
-	// copies, write barriers, GC pressure) would be pure waste.
-	var refs []pairRef
-	for i := 0; i < len(leaves); i++ {
-		lca := len(leaves[i].chain) // running LCA index of (i, j); shrinks as j advances
-		for j := i + 1; j < len(leaves); j++ {
-			if d := adjLCA[j-1]; d < lca {
-				lca = d
-			}
-			// The upward half of the path only grows as j advances (lca is
-			// non-increasing); once it cannot fit MaxLength even with the
-			// shortest possible downward half, no later j qualifies either.
-			if len(leaves[i].chain)-lca+1 > opts.MaxLength {
-				break
-			}
-			if fits(leaves[i], leaves[j], lca, opts) {
-				refs = append(refs, pairRef{a: i, b: j, lca: lca})
-				if budget > 0 && len(refs) >= budget {
-					goto sampled
-				}
-			}
+	// Keep pair ordinals int(k*stride) for k = 0, 1, ..., accumulated in
+	// floating point; with n == total that is every pair.
+	out := make([]Path, 0, n)
+	var nodes arena[string]
+	stride := float64(total) / float64(n)
+	pos, ord := 0.0, 0
+	eachPair(leaves, adj, opts, func(a, b, lca int) bool {
+		if ord == int(pos) {
+			out = append(out, build(&leaves[a], &leaves[b], lca, &nodes))
+			pos += stride
 		}
-	}
-sampled:
-	if opts.MaxPaths > 0 && len(refs) > opts.MaxPaths {
-		refs = sampleRefs(refs, opts.MaxPaths)
-	}
-	// Pass 2: build only the surviving paths.
-	out := make([]Path, len(refs))
-	var arena stringArena
-	for i, r := range refs {
-		out[i] = build(leaves[r.a], leaves[r.b], r.lca, &arena)
-	}
+		ord++
+		return len(out) < n && int(pos) < total
+	})
 	return out
 }
 
-// pairRef is one qualifying leaf pair with its precomputed LCA index.
-type pairRef struct{ a, b, lca int }
-
-// lastCommonIndex returns the last chain index shared by two leaves' root
-// chains (>= 0: the root is always shared).
-func lastCommonIndex(a, b leaf) int {
-	n := len(a.chain)
-	if len(b.chain) < n {
-		n = len(b.chain)
+// eachPair calls visit(a, b, lca) for each qualifying leaf pair in
+// enumeration order, with lca the pair's LCA chain index, until visit
+// returns false.
+func eachPair(leaves []leaf, adj []int, opts Options, visit func(a, b, lca int) bool) {
+	for i := range leaves {
+		a := &leaves[i]
+		lca := a.depth // running LCA index of (i, j); shrinks as j advances
+		for j := i + 1; j < len(leaves); j++ {
+			lca = min(lca, adj[j-1])
+			// The upward half of the path only grows as j advances (lca is
+			// non-increasing); once it cannot fit MaxLength even with the
+			// shortest possible downward half, no later j qualifies either.
+			if a.depth-lca+1 > opts.MaxLength {
+				break
+			}
+			if fits(a, &leaves[j], lca, opts) && !visit(i, j, lca) {
+				return
+			}
+		}
 	}
-	i := 0
-	for i < n && a.chain[i] == b.chain[i] {
-		i++
-	}
-	return i - 1
 }
 
 // fits reports whether the path context between two leaves satisfies the
-// width and length bounds. lca is the pair's last common chain index.
-func fits(a, b leaf, lca int, opts Options) bool {
-	if lca < 0 {
-		return false
-	}
-	// Width: distance of the child indices immediately below the LCA. When a
-	// leaf *is* the LCA the width constraint does not apply in the same way;
-	// such degenerate paths (one leaf an ancestor of the other) are skipped
-	// because both endpoints of a path context must be distinct leaves.
-	if lca >= len(a.childIdx) || lca >= len(b.childIdx) {
-		return false
-	}
-	width := b.childIdx[lca] - a.childIdx[lca]
-	if width < 0 {
-		width = -width
-	}
-	if width > opts.MaxWidth {
+// length and width bounds. lca is the pair's LCA chain index.
+func fits(a, b *leaf, lca int, opts Options) bool {
+	// A leaf that *is* the LCA makes a degenerate path (one endpoint an
+	// ancestor of the other); both endpoints of a path context must be
+	// distinct leaves.
+	if lca >= a.depth-1 || lca >= b.depth-1 {
 		return false
 	}
 	// Length: nodes up from a's leaf to LCA plus down to b's leaf, counting
-	// both leaf nodes once each.
-	upLen := len(a.chain) - 1 - lca   // edges from a-leaf up to LCA
-	downLen := len(b.chain) - 1 - lca // edges from LCA down to b-leaf
-	return upLen+downLen+1 <= opts.MaxLength
+	// both leaf nodes once each. Checked before width, so the child
+	// indexes read below lie inside both leaves' windows.
+	upLen := a.depth - 1 - lca   // edges from a-leaf up to LCA
+	downLen := b.depth - 1 - lca // edges from LCA down to b-leaf
+	if upLen+downLen+1 > opts.MaxLength {
+		return false
+	}
+	// Width: distance of the child indices immediately below the LCA.
+	width := b.childIdx(lca) - a.childIdx(lca)
+	if width < 0 {
+		width = -width
+	}
+	return width <= opts.MaxWidth
 }
 
 // build constructs the path context of a qualifying pair (fits already
 // checked). The node sequence is carved from the shared arena.
-func build(a, b leaf, lca int, arena *stringArena) Path {
-	k := (len(a.chain) - 1 - lca) + (len(b.chain) - 1 - lca) + 1
-	nodes := arena.alloc(k)[:0]
-	for d := len(a.chain) - 1; d >= lca; d-- {
-		nodes = append(nodes, a.typs[d])
+func build(a, b *leaf, lca int, blocks *arena[string]) Path {
+	k := (a.depth - 1 - lca) + (b.depth - 1 - lca) + 1
+	nodes := blocks.alloc(k)[:0]
+	for d := a.depth - 1; d >= lca; d-- {
+		nodes = append(nodes, a.typ(d))
 	}
-	nodes = append(nodes, b.typs[lca+1:len(b.chain)]...)
+	for d := lca + 1; d < b.depth; d++ {
+		nodes = append(nodes, b.typ(d))
+	}
 	return Path{Source: a.value, Target: b.value, Nodes: nodes}
-}
-
-// sampleRefs deterministically reduces the qualifying pairs to n entries
-// with an even stride so the selection covers the whole file.
-func sampleRefs(refs []pairRef, n int) []pairRef {
-	out := make([]pairRef, 0, n)
-	stride := float64(len(refs)) / float64(n)
-	pos := 0.0
-	for len(out) < n {
-		idx := int(pos)
-		if idx >= len(refs) {
-			break
-		}
-		out = append(out, refs[idx])
-		pos += stride
-	}
-	return out
 }
